@@ -133,7 +133,14 @@ func main() {
 	for k := range totals {
 		names = append(names, k)
 	}
-	sort.Slice(names, func(i, j int) bool { return totals[names[i]] > totals[names[j]] })
+	// Ties (pack == unpack on symmetric exchanges) break by name so the table
+	// prints identically on every run.
+	sort.Slice(names, func(i, j int) bool {
+		if ti, tj := totals[names[i]], totals[names[j]]; ti != tj {
+			return ti > tj
+		}
+		return names[i] < names[j]
+	})
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "kernel\ttotal (slowest rank)")
 	for _, k := range names {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/mpisim"
 	"repro/internal/tensor"
@@ -12,8 +11,9 @@ import (
 
 // This file is the plan-level half of the pluggable collective subsystem:
 // per-phase exchange statistics, the regime heuristic behind CollAuto, and
-// the chunked pack→exchange→unpack pipeline in which packing of chunk k+1
-// (and unpacking of chunk k-1) overlaps the exchange in flight.
+// the pack→post→wait→unpack transport every collective reshape runs, in
+// which packing of chunk k+1 (and unpacking of chunk k-1) overlaps the
+// exchange in flight.
 
 // autoChunkBytes is the per-rank send volume above which the auto policy
 // splits a *staged* reshape into pipeline chunks. Chunking only pays where
@@ -227,7 +227,7 @@ func (rs *reshapePlan) resolve(opts Options, eb, batch int) (mpisim.Algo, int, b
 // receiver derive their chunks from the same intersection box, so the
 // payloads of every chunk match without negotiation.
 func chunkBox(b tensor.Box3, ci, n int) tensor.Box3 {
-	if b.Empty() {
+	if n == 1 || b.Empty() {
 		return b
 	}
 	sz := b.Hi[0] - b.Lo[0]
@@ -306,171 +306,136 @@ func (p *Plan) CommPhases() []CommPhase {
 	return out
 }
 
-// runReshapeAlltoallv is the Alltoallv backend's exchange: the resolved
-// schedule in a single shot, or the chunked (optionally pipelined) variant
-// of the same exchange.
-func runReshapeAlltoallv[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom, recycleIn bool) [][]T {
-	// Algorithm selection and chunking see the on-wire element size: a
-	// compressed exchange sits at a different point of the (bytes, latency)
-	// regime map than its full-precision twin.
-	web := WireElemSize(rs.wireOf(ctx.opts), elemBytes[T]())
-	algo, chunks, overlap := rs.resolve(ctx.opts, web, len(datas))
-	if chunks <= 1 {
-		return runReshapeSingle(rs, ctx, datas, phantom, recycleIn, algo)
-	}
-	return runReshapeChunked(rs, ctx, datas, phantom, recycleIn, algo, chunks, overlap)
+// transfer is one reshape exchange on this rank — the single transport of
+// every collective backend: pack → post → wait → unpack, once per chunk. A
+// single-shot exchange is one chunk. The backend picks the cost profile:
+// MPI_Alltoall's padded loop, MPI_Alltoallw's datatype loop, or the
+// Alltoallv schedule resolved for this phase. Chunks slice whole axis-0 rows
+// of every pair box; with overlap, chunk k+1 is packed and posted while
+// chunk k is in flight (double-buffered through the pooled staging buffers).
+// The simulator's injection-port gating keeps back-to-back chunk exchanges
+// honest on the wire, and each chunk passes through the fault machinery
+// independently, so kills/corruption mid-reshape surface at the failing
+// chunk as typed errors.
+type transfer[T any] struct {
+	rs      *reshapePlan
+	ctx     execCtx
+	datas   [][]T // batch entries over rs.from (nil slices when phantom)
+	phantom bool
+	recycle bool // datas are plan-owned: pooled once fully packed
+	algo    mpisim.Algo
+	chunks  int
+	overlap bool
+	out     [][]T // arrays over rs.to, drawn at the first unpack
 }
 
-// runReshapeSingle is the unchunked Alltoallv exchange. With AlgoLinear it
-// is timing- and trace-identical to the legacy path.
-func runReshapeSingle[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom, recycleIn bool, algo mpisim.Algo) [][]T {
-	ctx.Check()
-	bufs, sendBytes := packSendBufs(rs, ctx, datas, phantom)
-	recycleDatas(datas, recycleIn)
-	ctx.dev.Pack(sendBytes, ctx.opts.Contiguous)
-	recv := rs.group.AlltoallvWith(bufs, algo)
-	newData := allocNewArrays[T](rs, len(datas), phantom)
-	recvBytes, recvFull := 0, 0
-	wire := rs.wireOf(ctx.opts)
+// newTransfer resolves the profile, schedule and chunking of one exchange.
+func newTransfer[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom, recycle bool) transfer[T] {
+	x := transfer[T]{rs: rs, ctx: ctx, datas: datas, phantom: phantom, recycle: recycle, algo: mpisim.AlgoLinear, chunks: 1}
+	if rs.group != nil && ctx.opts.Backend == BackendAlltoallv {
+		// Algorithm selection and chunking see the on-wire element size: a
+		// compressed exchange sits at a different point of the (bytes,
+		// latency) regime map than its full-precision twin.
+		web := WireElemSize(rs.wireOf(ctx.opts), elemBytes[T]())
+		x.algo, x.chunks, x.overlap = rs.resolve(ctx.opts, web, len(datas))
+	}
+	return x
+}
+
+// run moves the batch and returns its arrays over rs.to (nil for phantom).
+func (x *transfer[T]) run() [][]T {
+	g := x.rs.group
+	if g == nil {
+		return x.idle()
+	}
+	var inflight *mpisim.CollRequest
+	for ci := 0; ci < x.chunks; ci++ {
+		x.ctx.Check()
+		bufs := x.pack(ci)
+		if !x.overlap {
+			x.unpack(ci, x.exchange(bufs))
+			continue
+		}
+		req := g.IalltoallvWith(bufs, x.algo)
+		if inflight != nil {
+			x.unpack(ci-1, g.WaitColl(inflight))
+		}
+		inflight = req
+	}
+	if inflight != nil {
+		x.unpack(x.chunks-1, g.WaitColl(inflight))
+	}
+	return x.out
+}
+
+// idle is the exchange of a rank outside the group: its local share simply
+// becomes empty (or stays untouched when this rank re-enters later via
+// another stage).
+func (x *transfer[T]) idle() [][]T {
+	out := allocNewArrays[T](x.rs, len(x.datas), x.phantom)
+	recycleDatas(x.datas, x.recycle)
+	return out
+}
+
+// kernels reports whether the backend packs and unpacks on the device;
+// MPI_Alltoallw (Algorithm 2) hands the library derived sub-array datatypes
+// instead.
+func (x *transfer[T]) kernels() bool { return x.ctx.opts.Backend != BackendAlltoallw }
+
+// pack builds chunk ci's send buffers and charges the pack kernel.
+func (x *transfer[T]) pack(ci int) []mpisim.Buf {
+	bufs, bytes := packSendBufs(x.rs, x.ctx, x.datas, x.phantom, ci, x.chunks)
+	if ci == x.chunks-1 {
+		// The inputs are fully drained once the last chunk is packed.
+		recycleDatas(x.datas, x.recycle)
+	}
+	if x.kernels() {
+		x.ctx.dev.Pack(bytes, x.ctx.opts.Contiguous)
+	}
+	return bufs
+}
+
+// exchange is the blocking post+wait of the backend's cost profile.
+func (x *transfer[T]) exchange(bufs []mpisim.Buf) []mpisim.Buf {
+	g := x.rs.group
+	switch x.ctx.opts.Backend {
+	case BackendAlltoall:
+		return g.Alltoall(bufs)
+	case BackendAlltoallw:
+		return g.Alltoallw(bufs)
+	}
+	return g.AlltoallvWith(bufs, x.algo)
+}
+
+// unpack scatters chunk ci's received blocks into the target arrays and
+// charges the envelope verification, unpack and up-conversion passes.
+func (x *transfer[T]) unpack(ci int, recv []mpisim.Buf) {
+	rs := x.rs
+	if x.out == nil {
+		x.out = allocNewArrays[T](rs, len(x.datas), x.phantom)
+	}
+	wire := rs.wireOf(x.ctx.opts)
 	eb := elemBytes[T]()
 	web := WireElemSize(wire, eb)
+	wireBytes, fullBytes := 0, 0
 	for gi := range recv {
-		vol := rs.recvs[gi].Volume()
+		cb := chunkBox(rs.recvs[gi], ci, x.chunks)
+		vol := cb.Volume()
 		if vol == 0 {
 			continue
 		}
-		recvBytes += web * vol * len(datas)
-		recvFull += eb * vol * len(datas)
-		if newData != nil {
-			unpackBufInto(rs, newData, gi, recv[gi])
+		wireBytes += web * vol * len(x.datas)
+		fullBytes += eb * vol * len(x.datas)
+		if x.out != nil {
+			unpackBufInto(rs, x.out, gi, cb, recv[gi])
 			recycleRecv[T](recv[gi])
 		}
 	}
-	rs.chargeEnvelopeVerify(recvBytes)
-	ctx.dev.Unpack(recvBytes, ctx.opts.Contiguous)
-	if wire != WireFp64 {
-		ctx.dev.Convert(recvFull)
-	}
-	return newData
-}
-
-// runReshapeChunked splits the exchange into chunks of whole axis-0 rows of
-// every pair box. Without overlap each chunk runs pack→exchange→unpack
-// serially; with overlap the exchange of chunk k is posted non-blocking and
-// the pack of chunk k+1 plus the unpack of chunk k-1 execute while it is in
-// flight (double-buffered through the pooled staging buffers). The
-// simulator's injection-port gating keeps back-to-back chunk exchanges
-// honest on the wire, and each chunk passes through the fault machinery
-// independently, so kills/corruption mid-reshape surface at the failing
-// chunk with the PR 3 typed errors.
-func runReshapeChunked[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom, recycleIn bool, algo mpisim.Algo, chunks int, overlap bool) [][]T {
-	g := rs.group
-	gs := g.Size()
-	wire := rs.wireOf(ctx.opts)
-	eb := elemBytes[T]()
-	web := WireElemSize(wire, eb)
-	newData := allocNewArrays[T](rs, len(datas), phantom)
-	ic := g.Integrity()
-
-	packChunk := func(ci int) ([]mpisim.Buf, int) {
-		bufs := make([]mpisim.Buf, gs)
-		total, full := 0, 0
-		for gi := 0; gi < gs; gi++ {
-			cb := chunkBox(rs.sends[gi], ci, chunks)
-			vol := cb.Volume()
-			if vol == 0 {
-				bufs[gi] = mpisim.Buf{Loc: machine.Device}
-				continue
-			}
-			elems := vol * len(datas)
-			total += web * elems
-			full += eb * elems
-			if phantom {
-				bufs[gi] = mkBuf[T](nil, elems, wire)
-				continue
-			}
-			data := getBuf[T](elems)
-			off := 0
-			for _, d := range datas {
-				tensor.Pack(d, rs.from, cb, data[off:off+vol])
-				off += vol
-			}
-			bufs[gi] = mkBuf(data, 0, wire)
-			bufs[gi].Move = true
-			if ic.Invariants {
-				envelopeSum(&bufs[gi], data)
-			}
-			quantizeSlice(wire, data)
-		}
+	rs.chargeEnvelopeVerify(wireBytes)
+	if x.kernels() {
+		x.ctx.dev.Unpack(wireBytes, x.ctx.opts.Contiguous)
 		if wire != WireFp64 {
-			ctx.dev.Convert(full)
+			x.ctx.dev.Convert(fullBytes)
 		}
-		if ic.Invariants && !ic.Checksums {
-			g.ChargeChecksum(total)
-		}
-		if ci == chunks-1 {
-			// The inputs are fully drained once the last chunk is packed.
-			recycleDatas(datas, recycleIn)
-		}
-		return bufs, total
 	}
-	unpackChunk := func(ci int, recv []mpisim.Buf) int {
-		total, full := 0, 0
-		for gi := range recv {
-			cb := chunkBox(rs.recvs[gi], ci, chunks)
-			vol := cb.Volume()
-			if vol == 0 {
-				continue
-			}
-			total += web * vol * len(datas)
-			full += eb * vol * len(datas)
-			if newData == nil {
-				continue
-			}
-			verifyEnvelope[T](rs, gi, recv[gi])
-			src := bufSlice[T](recv[gi])
-			off := 0
-			for fi := range newData {
-				tensor.Unpack(newData[fi], rs.to, cb, src[off:off+vol])
-				off += vol
-			}
-			recycleRecv[T](recv[gi])
-		}
-		rs.chargeEnvelopeVerify(total)
-		if wire != WireFp64 {
-			ctx.dev.Convert(full)
-		}
-		return total
-	}
-
-	if !overlap {
-		for ci := 0; ci < chunks; ci++ {
-			ctx.Check()
-			bufs, sb := packChunk(ci)
-			ctx.dev.Pack(sb, ctx.opts.Contiguous)
-			recv := g.AlltoallvWith(bufs, algo)
-			rb := unpackChunk(ci, recv)
-			ctx.dev.Unpack(rb, ctx.opts.Contiguous)
-		}
-		return newData
-	}
-
-	ctx.Check()
-	bufs, sb := packChunk(0)
-	ctx.dev.Pack(sb, ctx.opts.Contiguous)
-	req := g.IalltoallvWith(bufs, algo)
-	for ci := 1; ci <= chunks; ci++ {
-		var next *mpisim.CollRequest
-		if ci < chunks {
-			ctx.Check()
-			bufsN, sbN := packChunk(ci)
-			ctx.dev.Pack(sbN, ctx.opts.Contiguous)
-			next = g.IalltoallvWith(bufsN, algo)
-		}
-		recv := g.WaitColl(req)
-		rb := unpackChunk(ci-1, recv)
-		ctx.dev.Unpack(rb, ctx.opts.Contiguous)
-		req = next
-	}
-	return newData
 }

@@ -102,7 +102,7 @@ type ExecInfo struct {
 func (p *Plan) LastExec() ExecInfo { return p.lastExec }
 
 func (p *Plan) execute(fields []*Field, dir fft.Direction) error {
-	return p.executeFrom(fields, dir, 0, false)
+	return p.executeFrom(fields, dir, 0, false, false)
 }
 
 // executeFrom runs the pipeline from stage index from (0 = the full
@@ -110,7 +110,11 @@ func (p *Plan) execute(fields []*Field, dir fft.Direction) error {
 // boundary (p.dists[from]). ResumeBatch uses it to re-enter a shrunken
 // world's pipeline at the last globally completed boundary; recycleFirst
 // marks the fields' arrays as pool-drawn so the first reshape recycles them.
-func (p *Plan) executeFrom(fields []*Field, dir fft.Direction, from int, recycleFirst bool) (err error) {
+//
+// perEntry selects the pipelined mode (ForwardPipelined): instead of one
+// fused exchange per reshape, every entry's exchange is posted on its own,
+// and each entry lands and transforms while later entries' messages fly.
+func (p *Plan) executeFrom(fields []*Field, dir fft.Direction, from int, recycleFirst, perEntry bool) (err error) {
 	if p.closed {
 		return fmt.Errorf("core: %w", ErrPlanClosed)
 	}
@@ -161,27 +165,52 @@ func (p *Plan) executeFrom(fields []*Field, dir fft.Direction, from int, recycle
 	if p.ctx != nil {
 		check = p.checkCtx
 	}
+	ctx := execCtx{dev: p.dev, opts: p.opts, check: check}
+	// flights are the per-entry mode's posted exchanges, landed entry by
+	// entry at the next compute stage (or before the next reshape).
+	var flights []flight
 	for si := from; si < len(p.stages); si++ {
 		st := p.stages[si]
 		p.curPhase = st.label
 		p.checkCtx()
-		switch st.kind {
-		case stageReshape:
+		switch {
+		case st.kind == stageReshape && perEntry:
+			for i := range flights {
+				p.land(&flights[i], fields[i])
+			}
+			flights = flights[:0]
+			for _, f := range fields {
+				flights = append(flights, st.rs.post(ctx, f, recycle))
+			}
+			recycle = true
+		case st.kind == stageReshape:
 			t0 := p.comm.Clock()
-			st.rs.run(execCtx{dev: p.dev, opts: p.opts, check: check}, fields, recycle)
+			st.rs.run(ctx, fields, recycle)
 			recycle = true
 			comm := p.comm.Clock() - t0
 			if pending > comm {
 				p.chargeOverlap(pending - comm)
 			}
 			pending = 0
-		case stageFFT1D, stageFFT2D:
+		case perEntry:
+			for i := range fields {
+				if len(flights) > 0 {
+					p.land(&flights[i], fields[i])
+					p.curPhase = st.label
+				}
+				p.fftStage(st, fields[i:i+1], dir)
+			}
+			flights = flights[:0]
+		default:
 			per := p.fftStage(st, fields, dir)
 			pending += per * float64(len(fields)-1)
 		}
 		if ck != nil {
 			p.saveBoundary(ck, st.label, fields, phantom)
 		}
+	}
+	for i := range flights {
+		p.land(&flights[i], fields[i])
 	}
 	if pending > 0 {
 		p.chargeOverlap(pending)

@@ -96,7 +96,7 @@ const (
 	// CollAuto picks per reshape phase from the (rank count, message size)
 	// regime, following the paper's algorithm-selection analysis.
 	CollAuto CollAlgo = iota
-	// CollLinear forces the legacy per-destination posting schedule.
+	// CollLinear forces the plain per-destination posting schedule.
 	CollLinear
 	// CollPairwise forces the synchronized pairwise exchange.
 	CollPairwise

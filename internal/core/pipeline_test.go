@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/fft"
 	"repro/internal/machine"
 	"repro/internal/mpisim"
@@ -94,8 +96,8 @@ func TestPipelinedRequiresAlltoallv(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		if err := p.ForwardPipelined([]*Field{NewPhantom(p.InBox())}); err == nil {
-			t.Error("expected error for P2P backend")
+		if err := p.ForwardPipelined([]*Field{NewPhantom(p.InBox())}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("P2P backend: err = %v, want ErrBadConfig", err)
 		}
 	})
 }
@@ -136,4 +138,62 @@ func TestPipelinedOverlapsCompute(t *testing.T) {
 	if pip >= seq {
 		t.Errorf("pipelined %g should beat sequential %g", pip, seq)
 	}
+}
+
+// TestPipelinedKillFailsEveryRank: the pipelined entry points keep the
+// execution contract of Forward — a rank killed mid-batch surfaces as an
+// error wrapping ErrRankFailed returned on every rank, not only in
+// Result.Err. The kill lands on the victim's third exchange post, between
+// batch entries.
+func TestPipelinedKillFailsEveryRank(t *testing.T) {
+	const size = 4
+	for _, inverse := range []bool{false, true} {
+		plan := &faults.Plan{Timeout: 1, Events: []faults.Event{{Kind: faults.Kill, Rank: 1, Op: 2}}}
+		w := mpisim.NewWorld(machine.Summit(), size, mpisim.Options{GPUAware: true, Faults: plan})
+		errs := make([]error, size)
+		res := w.Run(func(c *mpisim.Comm) {
+			p, err := NewPlan(c, Config{Global: [3]int{8, 8, 8}, Opts: Options{Decomp: DecompPencils}})
+			if err != nil {
+				errs[c.Rank()] = err
+				return
+			}
+			fields := []*Field{NewField(p.InBox()), NewField(p.InBox()), NewField(p.InBox())}
+			if inverse {
+				errs[c.Rank()] = p.InversePipelined(fields)
+			} else {
+				errs[c.Rank()] = p.ForwardPipelined(fields)
+			}
+		})
+		if !errors.Is(res.Err, mpisim.ErrRankFailed) {
+			t.Fatalf("inverse=%v: Result.Err = %v, want ErrRankFailed", inverse, res.Err)
+		}
+		for r, err := range errs {
+			if !errors.Is(err, mpisim.ErrRankFailed) {
+				t.Errorf("inverse=%v rank %d: err = %v, want ErrRankFailed", inverse, r, err)
+			}
+		}
+	}
+}
+
+// TestPipelinedRejectsCheckpoints: entries of a pipelined batch sit at
+// different stage boundaries, so a plan armed with phase checkpoints fails
+// the call up front with ErrBadConfig instead of silently taking none.
+func TestPipelinedRejectsCheckpoints(t *testing.T) {
+	w := mpisim.NewWorld(machine.Summit(), 2, mpisim.Options{GPUAware: true})
+	w.Run(func(c *mpisim.Comm) {
+		p, err := NewPlan(c, Config{Global: [3]int{4, 4, 4}, Opts: Options{Decomp: DecompPencils, Checkpoints: NewCheckpointStore()}})
+		if err != nil {
+			panic(err)
+		}
+		f := NewPhantom(p.InBox())
+		if err := p.ForwardPipelined([]*Field{f}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("ForwardPipelined with checkpoints: err = %v, want ErrBadConfig", err)
+		}
+		if err := p.InversePipelined([]*Field{f}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("InversePipelined with checkpoints: err = %v, want ErrBadConfig", err)
+		}
+		if !f.Box.Equal(p.InBox()) {
+			t.Errorf("rejected call moved the field to %v", f.Box)
+		}
+	})
 }

@@ -287,23 +287,11 @@ func elemBytes[T any]() int {
 // phantom batches); the return value holds the new arrays over rs.to (nil
 // for phantom).
 func runReshape[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom, recycleIn bool) [][]T {
-	if rs.group == nil {
-		// Not involved: the local share simply becomes empty (or stays
-		// untouched when this rank re-enters later via another stage).
-		if phantom {
-			return nil
-		}
-		out := make([][]T, len(datas))
-		for i := range out {
-			out[i] = getBuf[T](rs.to.Volume())
-		}
-		recycleDatas(datas, recycleIn)
-		return out
+	if rs.group != nil && !ctx.opts.Backend.Collective() {
+		return runReshapeP2P(rs, ctx, datas, phantom, recycleIn)
 	}
-	if ctx.opts.Backend.Collective() {
-		return runReshapeCollective(rs, ctx, datas, phantom, recycleIn)
-	}
-	return runReshapeP2P(rs, ctx, datas, phantom, recycleIn)
+	x := newTransfer(rs, ctx, datas, phantom, recycleIn)
+	return x.run()
 }
 
 // recycleDatas returns plan-owned input arrays to the staging pool once their
@@ -327,7 +315,8 @@ func recycleRecv[T any](b mpisim.Buf) {
 	}
 }
 
-// packSendBufs builds the per-member send buffers, fusing the batch. With
+// packSendBufs builds the per-member send buffers of chunk ci of chunks
+// (see chunkBox; 0 of 1 is the whole exchange), fusing the batch. With
 // ABFT invariants on, every packed block carries its element sum in the
 // message envelope (verified after unpack) and the fused sum pass is charged
 // — unless the transport's checksummed envelopes already bill that stream.
@@ -341,7 +330,7 @@ func recycleRecv[T any](b mpisim.Buf) {
 // kernel's full-precision read), so envelope verification under compression
 // is tolerance-based (see verifyEnvelope). The returned byte count is the
 // on-wire total — what the pack kernel writes.
-func packSendBufs[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom bool) ([]mpisim.Buf, int) {
+func packSendBufs[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom bool, ci, chunks int) ([]mpisim.Buf, int) {
 	gs := rs.group.Size()
 	bufs := make([]mpisim.Buf, gs)
 	wire := rs.wireOf(ctx.opts)
@@ -350,7 +339,7 @@ func packSendBufs[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom bool
 	wireBytes, fullBytes := 0, 0
 	ic := rs.group.Integrity()
 	for gi := 0; gi < gs; gi++ {
-		sb := rs.sends[gi]
+		sb := chunkBox(rs.sends[gi], ci, chunks)
 		vol := sb.Volume()
 		if vol == 0 {
 			bufs[gi] = mpisim.Buf{Loc: machine.Device}
@@ -402,10 +391,10 @@ func quantizeSlice[T any](w WirePrecision, data []T) {
 	}
 }
 
-// unpackBufInto scatters one member's received buffer into the new arrays,
-// verifying the block's ABFT envelope sum first when one is attached.
-func unpackBufInto[T any](rs *reshapePlan, newData [][]T, gi int, buf mpisim.Buf) {
-	rb := rs.recvs[gi]
+// unpackBufInto scatters one member's received buffer, covering box rb of
+// the target distribution, into the new arrays, verifying the block's ABFT
+// envelope sum first when one is attached.
+func unpackBufInto[T any](rs *reshapePlan, newData [][]T, gi int, rb tensor.Box3, buf mpisim.Buf) {
 	vol := rb.Volume()
 	if vol == 0 || newData == nil {
 		return
@@ -433,59 +422,6 @@ func allocNewArrays[T any](rs *reshapePlan, n int, phantom bool) [][]T {
 	return out
 }
 
-// runReshapeCollective implements the All-to-All flavours. MPI_Alltoall and
-// MPI_Alltoallv pack/unpack on the device around one collective call
-// (Algorithm 1); MPI_Alltoallw (Algorithm 2) hands the library derived
-// sub-array datatypes, eliminating the pack/unpack kernels but paying the
-// naive, non-GPU-aware transport.
-func runReshapeCollective[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom, recycleIn bool) [][]T {
-	// MPI_Alltoallv has the pluggable-schedule and chunked-pipeline path.
-	if ctx.opts.Backend == BackendAlltoallv {
-		return runReshapeAlltoallv(rs, ctx, datas, phantom, recycleIn)
-	}
-	useW := ctx.opts.Backend == BackendAlltoallw
-	bufs, sendBytes := packSendBufs(rs, ctx, datas, phantom)
-	recycleDatas(datas, recycleIn)
-	if !useW {
-		ctx.dev.Pack(sendBytes, ctx.opts.Contiguous)
-	}
-	g := rs.group
-	var recv []mpisim.Buf
-	switch ctx.opts.Backend {
-	case BackendAlltoall:
-		recv = g.Alltoall(bufs)
-	case BackendAlltoallw:
-		recv = g.Alltoallw(bufs)
-	default:
-		panic("core: runReshapeCollective with P2P backend")
-	}
-	newData := allocNewArrays[T](rs, len(datas), phantom)
-	recvBytes, recvFull := 0, 0
-	wire := rs.wireOf(ctx.opts)
-	eb := elemBytes[T]()
-	web := WireElemSize(wire, eb)
-	for gi := range recv {
-		vol := rs.recvs[gi].Volume()
-		if vol == 0 {
-			continue
-		}
-		recvBytes += web * vol * len(datas)
-		recvFull += eb * vol * len(datas)
-		if newData != nil {
-			unpackBufInto(rs, newData, gi, recv[gi])
-			recycleRecv[T](recv[gi])
-		}
-	}
-	rs.chargeEnvelopeVerify(recvBytes)
-	if !useW {
-		ctx.dev.Unpack(recvBytes, ctx.opts.Contiguous)
-		if wire != WireFp64 {
-			ctx.dev.Convert(recvFull)
-		}
-	}
-	return newData
-}
-
 // runReshapeP2P implements the Point-to-Point exchanges of Table I: heFFTe's
 // MPI_Isend/MPI_Irecv/Waitany (non-blocking) or MPI_Send/MPI_Irecv
 // (blocking). Receives are posted first, sends streamed, and arrivals
@@ -506,7 +442,7 @@ func runReshapeP2P[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom, re
 		}
 	}
 
-	bufs, sendBytes := packSendBufs(rs, ctx, datas, phantom)
+	bufs, sendBytes := packSendBufs(rs, ctx, datas, phantom, 0, 1)
 	recycleDatas(datas, recycleIn)
 	ctx.dev.Pack(sendBytes, ctx.opts.Contiguous)
 
@@ -531,7 +467,7 @@ func runReshapeP2P[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom, re
 	// The local share never touches the network.
 	if self := rs.sends[me]; !self.Empty() {
 		if newData != nil {
-			unpackBufInto(rs, newData, me, bufs[me])
+			unpackBufInto(rs, newData, me, rs.recvs[me], bufs[me])
 			recycleRecv[T](bufs[me])
 		}
 		ctx.dev.Unpack(web*self.Volume()*len(datas), ctx.opts.Contiguous)
@@ -541,7 +477,7 @@ func runReshapeP2P[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom, re
 	for range rreqs {
 		i, buf := g.Waitany(rreqs)
 		if newData != nil {
-			unpackBufInto(rs, newData, rsrcs[i], buf)
+			unpackBufInto(rs, newData, rsrcs[i], rs.recvs[rsrcs[i]], buf)
 			recycleRecv[T](buf)
 		}
 		ctx.dev.Unpack(buf.Bytes(), ctx.opts.Contiguous)

@@ -135,7 +135,7 @@ func (p *Plan) ResumeBatch() (fs []*Field, err error) {
 	if err := p.recoveryReshape(snap, cut, dist, fields); err != nil {
 		return nil, err
 	}
-	if err := p.executeFrom(fields, snap.dir, from, true); err != nil {
+	if err := p.executeFrom(fields, snap.dir, from, true, false); err != nil {
 		return nil, err
 	}
 	return fields, nil

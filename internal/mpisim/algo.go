@@ -18,10 +18,10 @@ import (
 type Algo int
 
 const (
-	// AlgoLinear is the legacy schedule: each rank posts one message per
-	// destination, paying the full per-message software overhead and wire
-	// latency for every block. It is the reference the other schedules are
-	// validated against.
+	// AlgoLinear is the plain MPI_Alltoallv schedule: each rank posts one
+	// message per destination, paying the full per-message software overhead
+	// and wire latency for every block. It is the reference the other
+	// schedules are validated against.
 	AlgoLinear Algo = iota
 	// AlgoPairwise is the synchronized pairwise exchange: p-1 rounds, in
 	// round k rank r trades blocks with ranks r±k. One clean flow per rank
@@ -81,13 +81,16 @@ func Algos() []Algo {
 type Exchange struct {
 	Size   int
 	Bytes  [][]int   // [src][dst] payload bytes; the diagonal (self) is handled by the caller
-	Dev    []bool    // rank's buffers are device-resident (GPU-aware path)
+	Dev    []bool    // rank's buffers are device-resident (GPU-aware path; any device buffer for Alltoallw)
 	Factor []float64 // fault degrade factor per rank (0 or 1 = healthy)
 	Start  []float64 // earliest network start per rank
 	Ranks  []int     // world rank of each exchange rank
 	Nodes  int       // nodes occupied by the job
 	Topo   *topo.System
 	M      *machine.Model
+
+	// gpuAware is the job's MPI mode, for profiles that stage per message.
+	gpuAware bool
 }
 
 // active reports whether rank r moves any off-diagonal bytes (as sender or
@@ -159,7 +162,7 @@ type CollectiveAlgo interface {
 	Complete(ex *Exchange) []float64
 }
 
-// algoImpl maps an Algo to its schedule; nil means the legacy linear path.
+// algoImpl maps an Algo to its schedule.
 func algoImpl(a Algo) CollectiveAlgo {
 	switch a {
 	case AlgoPairwise:
@@ -171,34 +174,84 @@ func algoImpl(a Algo) CollectiveAlgo {
 	case AlgoNodeAware:
 		return nodeAwareAlgo{}
 	}
-	return nil
+	return linearAlgo{}
 }
 
-// linearAlgo reproduces the legacy per-destination Alltoallv cost inside the
-// scheduled machinery. The blocking AlltoallvWith keeps the original code
-// path for AlgoLinear — timing-identical to Alltoallv — but the non-blocking
-// flavour used by the chunked pipeline runs here, where back-to-back chunks
-// gate on the injection port: otherwise two in-flight chunks would each see
-// the full wire and overlap for free, which no NIC allows. The naive loop
-// keeps the saturated FlowBW; its unscheduled traffic is exactly what the
-// fabric's adaptive routing degrades under.
+// linearAlgo is the per-destination Alltoallv cost: one posting, one flow
+// and one wire latency per nonempty block, the blocks sent one by one. Its
+// unscheduled traffic keeps the saturated NaiveFlowBW — exactly what the
+// fabric's adaptive routing degrades under. Back-to-back posts gate on the
+// injection port like every profile; otherwise two in-flight chunks would
+// each see the full wire and overlap for free, which no NIC allows.
 type linearAlgo struct{}
 
-func (linearAlgo) Name() string       { return "linear" }
-func (linearAlgo) Synchronized() bool { return true }
+func (linearAlgo) Name() string                    { return "linear" }
+func (linearAlgo) Synchronized() bool              { return true }
+func (linearAlgo) Complete(ex *Exchange) []float64 { return naiveLoop(ex, false) }
 
-func (linearAlgo) Complete(ex *Exchange) []float64 {
+// alltoallAlgo is MPI_Alltoall's profile: the linear loop with every pair —
+// empty ones included — padded to the largest block in the communicator.
+type alltoallAlgo struct{}
+
+func (alltoallAlgo) Name() string                    { return "alltoall" }
+func (alltoallAlgo) Synchronized() bool              { return true }
+func (alltoallAlgo) Complete(ex *Exchange) []float64 { return naiveLoop(ex, true) }
+
+// naiveLoop prices the unscheduled per-destination loop of the linear and
+// MPI_Alltoall profiles. padded replaces every block size with the largest
+// block of the exchange (self blocks included), so no destination is skipped.
+func naiveLoop(ex *Exchange, padded bool) []float64 {
+	pad := 0
+	if padded {
+		for _, row := range ex.Bytes {
+			for _, by := range row {
+				pad = max(pad, by)
+			}
+		}
+	}
 	comp := make([]float64, ex.Size)
 	for r := 0; r < ex.Size; r++ {
 		srcW := ex.Ranks[r]
 		oh := ex.overhead(r)
 		t := 0.0
 		for d := 0; d < ex.Size; d++ {
-			if d == r || ex.Bytes[r][d] == 0 {
+			by := ex.Bytes[r][d]
+			if padded {
+				by = pad
+			}
+			if d == r || (!padded && by == 0) {
 				continue
 			}
 			dstW := ex.Ranks[d]
-			t += oh + float64(ex.Bytes[r][d])/ex.Topo.NaiveFlowBW(srcW, dstW) + ex.latency(srcW, dstW)
+			t += oh + float64(by)/ex.Topo.NaiveFlowBW(srcW, dstW) + ex.latency(srcW, dstW)
+		}
+		comp[r] = ex.Start[r] + t*ex.factor(r)
+	}
+	return comp
+}
+
+// alltoallwAlgo is MPI_Alltoallw's profile: a naive Isend/Irecv loop over
+// derived datatypes, each nonempty block paying the datatype message class's
+// setup — and, without GPU-aware MPI, its own PCIe staging. The engine skips
+// its bulk staging for this profile and passes the raw buffer location in
+// Exchange.Dev.
+type alltoallwAlgo struct{}
+
+func (alltoallwAlgo) Name() string       { return "alltoallw" }
+func (alltoallwAlgo) Synchronized() bool { return true }
+
+func (alltoallwAlgo) Complete(ex *Exchange) []float64 {
+	comp := make([]float64, ex.Size)
+	for r := 0; r < ex.Size; r++ {
+		srcW := ex.Ranks[r]
+		t := 0.0
+		for d := 0; d < ex.Size; d++ {
+			by := ex.Bytes[r][d]
+			if d == r || by == 0 {
+				continue
+			}
+			mc := ex.M.MsgCostOn(by, ex.Topo.Path(srcW, ex.Ranks[d]), ex.Nodes, ex.Dev[r], ex.gpuAware, machine.ClassAlltoallw)
+			t += mc.Total()
 		}
 		comp[r] = ex.Start[r] + t*ex.factor(r)
 	}

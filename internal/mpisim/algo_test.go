@@ -144,25 +144,39 @@ func TestAlltoallvWithSchedulesDiffer(t *testing.T) {
 	}
 }
 
-func benchExchange(b *testing.B, a Algo) {
-	w := NewWorld(machine.Summit(), 12, Options{GPUAware: true})
-	res := w.Run(func(c *Comm) {
-		send := make([]Buf, 12)
-		for d := range send {
-			send[d] = Buf{N: 1 << 12, Loc: machine.Device}
-		}
-		if c.Rank() == 0 {
-			b.ResetTimer()
-		}
-		for i := 0; i < b.N; i++ {
-			c.AlltoallvWith(send, a)
-		}
-	})
-	if res.Err != nil {
-		b.Fatal(res.Err)
+// BenchmarkExchange runs one dense device-resident exchange per iteration
+// through every cost profile of the engine: each selectable schedule, plus
+// MPI_Alltoall's padded loop and MPI_Alltoallw's datatype loop.
+func BenchmarkExchange(b *testing.B) {
+	type profile struct {
+		name string
+		call func(c *Comm, send []Buf)
+	}
+	var profiles []profile
+	for _, a := range Algos() {
+		profiles = append(profiles, profile{a.String(), func(c *Comm, send []Buf) { c.AlltoallvWith(send, a) }})
+	}
+	profiles = append(profiles,
+		profile{"alltoall", func(c *Comm, send []Buf) { c.Alltoall(send) }},
+		profile{"alltoallw", func(c *Comm, send []Buf) { c.Alltoallw(send) }})
+	for _, pr := range profiles {
+		b.Run(pr.name, func(b *testing.B) {
+			w := NewWorld(machine.Summit(), 12, Options{GPUAware: true})
+			res := w.Run(func(c *Comm) {
+				send := make([]Buf, 12)
+				for d := range send {
+					send[d] = Buf{N: 1 << 12, Loc: machine.Device}
+				}
+				if c.Rank() == 0 {
+					b.ResetTimer()
+				}
+				for i := 0; i < b.N; i++ {
+					pr.call(c, send)
+				}
+			})
+			if res.Err != nil {
+				b.Fatal(res.Err)
+			}
+		})
 	}
 }
-
-func BenchmarkExchangePairwise(b *testing.B) { benchExchange(b, AlgoPairwise) }
-func BenchmarkExchangeRing(b *testing.B)     { benchExchange(b, AlgoRing) }
-func BenchmarkExchangeBruck(b *testing.B)    { benchExchange(b, AlgoBruck) }

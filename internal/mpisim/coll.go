@@ -30,8 +30,8 @@ type collIn struct {
 	val   float64
 	buf   Buf
 	// port snapshots the rank's injection-port busy-until time; the
-	// scheduled all-to-all algorithms gate their network start on it so
-	// back-to-back chunked exchanges serialize honestly on the wire.
+	// all-to-all engine gates its network start on it so back-to-back
+	// chunked exchanges serialize honestly on the wire.
 	port float64
 	// Fault-injection effects of the contributing rank for this exchange:
 	// factor scales its communication time (degraded links), lost marks its
@@ -46,7 +46,7 @@ type collOut struct {
 	val   float64
 	buf   Buf
 	// port is the new injection-port busy-until time of the receiving rank
-	// (scheduled all-to-all algorithms only; zero otherwise).
+	// (all-to-alls only; zero otherwise).
 	port      float64
 	splitCore *commCore
 	splitRank int
@@ -309,254 +309,61 @@ func (c *Comm) Scatterv(root int, bufs []Buf) Buf {
 	return out.buf.clone()
 }
 
-// alltoallKind distinguishes the three All-to-All flavours of Table I.
-type alltoallKind int
-
-const (
-	kindAlltoall alltoallKind = iota
-	kindAlltoallv
-	kindAlltoallw
-)
-
-func (k alltoallKind) name() string {
-	switch k {
-	case kindAlltoall:
-		return "MPI_Alltoall"
-	case kindAlltoallv:
-		return "MPI_Alltoallv"
-	default:
-		return "MPI_Alltoallw"
-	}
-}
-
 // Alltoall exchanges send[dst] → recv[src] with MPI_Alltoall semantics: all
 // blocks are padded to the maximum block size in the communicator (the
 // padding cost the paper observes on brick↔pencil reshapes, Figs. 2 and 6),
 // in exchange for the most optimized vendor algorithm.
-func (c *Comm) Alltoall(send []Buf) []Buf { return c.alltoall(send, kindAlltoall) }
+func (c *Comm) Alltoall(send []Buf) []Buf { return c.alltoall(send, alltoallAlgo{}, "MPI_Alltoall") }
 
 // Alltoallv exchanges exact per-pair sizes with the optimized collective
-// path.
-func (c *Comm) Alltoallv(send []Buf) []Buf { return c.alltoall(send, kindAlltoallv) }
+// path (the linear schedule).
+func (c *Comm) Alltoallv(send []Buf) []Buf { return c.alltoall(send, linearAlgo{}, "MPI_Alltoallv") }
 
 // Alltoallw models the generalized all-to-all on derived sub-array datatypes
 // used by Algorithm 2 (Dalcin et al.): a naive Isend/Irecv loop with high
 // per-message setup, and — on SpectrumMPI-like stacks — no GPU-awareness, so
 // device buffers stage through PCIe per message.
-func (c *Comm) Alltoallw(send []Buf) []Buf { return c.alltoall(send, kindAlltoallw) }
-
-func (c *Comm) alltoall(send []Buf, kind alltoallKind) []Buf {
-	size := c.Size()
-	if len(send) != size {
-		panic(fmt.Sprintf("mpisim: %s send slice has %d entries for size-%d comm", kind.name(), len(send), size))
-	}
-	st := c.state()
-	start := st.clock
-	w := c.core.world
-	m := c.Model()
-
-	eff := c.faultEnter(kind.name())
-	c.chargeSendChecksums(send)
-	in := collIn{clock: st.clock, send: make([]Buf, size), lost: eff.Drop}
-	if eff.Factor > 1 {
-		in.factor = eff.Factor
-	}
-	for i, b := range send {
-		in.send[i] = b.clone()
-		if i == c.rank {
-			continue
-		}
-		if eff.Corrupt {
-			in.send[i].Corrupt = true
-		}
-		if eff.Silent > 0 {
-			in.send[i].silent = eff.Silent
-			in.send[i].flipSeed = mixSeed(eff.SilentSeed, i)
-		}
-	}
-	out := c.core.rv.exchange(w, c.rank, in, func(ins []collIn) []collOut {
-		t0 := maxClock(ins)
-		outs := make([]collOut, size)
-
-		// Determine padding for MPI_Alltoall: every block is the max block.
-		pad := 0
-		if kind == kindAlltoall {
-			for _, inp := range ins {
-				for _, b := range inp.send {
-					if b.Bytes() > pad {
-						pad = b.Bytes()
-					}
-				}
-			}
-		}
-
-		for r := 0; r < size; r++ {
-			srcW := c.WorldRank(r)
-			dev := false
-			var totalSend, totalRecv int
-			for _, b := range ins[r].send {
-				if b.Loc == machine.Device {
-					dev = true
-				}
-				totalSend += b.Bytes()
-			}
-			for s := 0; s < size; s++ {
-				totalRecv += ins[s].send[r].Bytes()
-			}
-
-			var t float64
-			switch kind {
-			case kindAlltoall, kindAlltoallv:
-				staged := dev && !w.opts.GPUAware
-				// Bulk staging: heFFTe's -no-gpu-aware path copies the whole
-				// packed buffer to the host once, calls the host collective,
-				// and copies the result back.
-				if staged {
-					t += 2*m.StagingOverhead +
-						(1-m.StagingOverlap)*(float64(totalSend)/m.PCIeBW+float64(totalRecv)/m.PCIeBW)
-				}
-				oh := m.HostOverheadColl
-				if dev && !staged {
-					oh = m.DeviceOverheadColl
-				}
-				for dst := 0; dst < size; dst++ {
-					if dst == r {
-						// Self block: a device-local copy.
-						t += float64(ins[r].send[dst].Bytes()) * 2 / m.GPU.MemBW
-						continue
-					}
-					bytes := ins[r].send[dst].Bytes()
-					if kind == kindAlltoall {
-						// MPI_Alltoall pads every pair to the max block.
-						bytes = pad
-					} else if bytes == 0 {
-						// MPI_Alltoallv short-circuits zero-size blocks.
-						continue
-					}
-					dstW := c.WorldRank(dst)
-					t += oh + float64(bytes)/w.topo.NaiveFlowBW(srcW, dstW) + w.topo.Latency(srcW, dstW)
-				}
-			case kindAlltoallw:
-				// Naive per-message loop with derived datatypes; staging (if
-				// any) happens per message inside MsgCost. Zero-size blocks
-				// are short-circuited by MPI.
-				for dst := 0; dst < size; dst++ {
-					if dst == r {
-						t += float64(ins[r].send[dst].Bytes()) * 2 / m.GPU.MemBW
-						continue
-					}
-					if ins[r].send[dst].Bytes() == 0 {
-						continue
-					}
-					dstW := c.WorldRank(dst)
-					mc := m.MsgCostOn(ins[r].send[dst].Bytes(), w.topo.Path(srcW, dstW), w.nodes, dev, w.opts.GPUAware, machine.ClassAlltoallw)
-					t += mc.Total()
-				}
-			}
-
-			if f := ins[r].factor; f > 1 {
-				// Degraded link: this rank's whole exchange slows down.
-				t *= f
-			}
-
-			recv := make([]Buf, size)
-			for s := 0; s < size; s++ {
-				recv[s] = ins[s].send[r]
-			}
-			outs[r] = collOut{clock: t0 + t, recv: recv}
-		}
-		// Dropped contributions: every rank expecting a nonzero block from a
-		// lost sender waits forever — its completion moves past any finite
-		// bound and surfaces as ErrExchangeTimeout in collClock below.
-		for r := 0; r < size; r++ {
-			if !ins[r].lost {
-				continue
-			}
-			for dst := 0; dst < size; dst++ {
-				if dst == r || ins[r].send[dst].Bytes() == 0 {
-					continue
-				}
-				outs[dst].clock = math.Inf(1)
-			}
-		}
-		return outs
-	})
-	st.clock = c.collClock(kind.name(), start, out.clock)
-	var bytes int
-	for _, b := range send {
-		bytes += b.Bytes()
-	}
-	c.record(kind.name(), start, st.clock, bytes)
-	c.checkCorrupt(out.recv, kind.name())
-	c.deliverIntegrity(out.recv, kind.name())
-	return out.recv
-}
+func (c *Comm) Alltoallw(send []Buf) []Buf { return c.alltoall(send, alltoallwAlgo{}, "MPI_Alltoallw") }
 
 // AlltoallvWith exchanges exact per-pair sizes like Alltoallv, but scheduled
-// by the selected algorithm (pairwise exchange, ring streaming, or Bruck
-// log-step). The received bytes are identical for every algorithm; only the
-// virtual-time cost differs. AlgoLinear takes the legacy per-destination
-// path and is timing-identical to Alltoallv. Scheduled exchanges also
-// serialize through each rank's injection port, so chunked back-to-back
-// exchanges pipeline honestly instead of overlapping for free.
+// by the selected algorithm (linear, pairwise exchange, ring streaming, Bruck
+// log-step or node-aware). The received bytes are identical for every
+// algorithm; only the virtual-time cost differs. AlgoLinear is Alltoallv.
 func (c *Comm) AlltoallvWith(send []Buf, a Algo) []Buf {
-	impl := algoImpl(a)
-	if impl == nil {
-		return c.alltoall(send, kindAlltoallv)
-	}
-	st := c.state()
-	start := st.clock
-	out, bytes := c.schedExchange(send, impl, "MPI_Alltoallv")
-	if out.port > st.portFreeAt {
-		st.portFreeAt = out.port
-	}
-	st.clock = c.collClock("MPI_Alltoallv", start, out.clock)
-	c.record("MPI_Alltoallv", start, st.clock, bytes)
-	c.checkCorrupt(out.recv, "MPI_Alltoallv")
-	c.deliverIntegrity(out.recv, "MPI_Alltoallv")
-	return out.recv
+	return c.alltoall(send, algoImpl(a), "MPI_Alltoallv")
 }
 
-// IalltoallvWith posts a non-blocking algorithm-scheduled all-to-all-v: the
-// caller pays only the posting overhead now and the remaining exchange time
-// at WaitColl, where it overlaps whatever local work ran in between (the
-// chunked pipelined reshape packs the next chunk there).
-func (c *Comm) IalltoallvWith(send []Buf, a Algo) *CollRequest {
-	impl := algoImpl(a)
-	if impl == nil {
-		// AlgoLinear runs its per-destination cost through the scheduled
-		// machinery here (unlike the blocking call): chunked pipelines post
-		// these back to back, and only the injection-port gate keeps two
-		// in-flight chunks from overlapping on the wire for free.
-		impl = linearAlgo{}
-	}
-	st := c.state()
-	start := st.clock
-	out, bytes := c.schedExchange(send, impl, "MPI_Ialltoallv")
-	if out.port > st.portFreeAt {
-		st.portFreeAt = out.port
-	}
-	st.clock += c.Model().HostOverheadColl
-	c.record("MPI_Ialltoallv", start, st.clock, bytes)
-	return &CollRequest{comm: c, postedAt: start, completeAt: out.clock, recv: out.recv, bytes: bytes, waitName: "MPI_Alltoallv"}
+// alltoall is every blocking all-to-all: the non-blocking post followed at
+// once by its wait, traced as one op-named event from the call's entry.
+func (c *Comm) alltoall(send []Buf, impl CollectiveAlgo, op string) []Buf {
+	r := c.post(send, impl, op, op)
+	return c.wait(&r, r.postedAt)
 }
 
-// schedExchange runs the rendezvous and cost computation shared by the
-// algorithm-scheduled Alltoallv flavours. The wrapper handles everything the
-// schedule itself does not model: PCIe staging for non-GPU-aware device
-// buffers, the self block's device copy, injection-port gating, and the
-// fault effects (degrade factors travel to the schedule, dropped blocks push
-// receivers' completions to +Inf exactly like the legacy path).
-func (c *Comm) schedExchange(send []Buf, impl CollectiveAlgo, opName string) (collOut, int) {
+// post runs the rendezvous and cost computation of one all-to-all under the
+// given cost profile. The engine handles everything the profile does not
+// model: PCIe staging for non-GPU-aware device buffers, the self block's
+// device copy, injection-port gating, and the fault effects (degrade factors
+// travel to the profile, dropped blocks push receivers' completions to +Inf).
+// The caller's clock moves only by an injected stall; the returned request
+// carries the completion time its wait adopts. Every profile follows one start rule:
+// staging starts at the rank's own arrival, the network at the later of the
+// staged arrival, the injection port freeing up and — for synchronized
+// profiles — the group's last arrival. A degrade factor slows the network
+// schedule and the self copy, never the staging.
+func (c *Comm) post(send []Buf, impl CollectiveAlgo, op, waitName string) CollRequest {
 	size := c.Size()
 	if len(send) != size {
-		panic(fmt.Sprintf("mpisim: %s send slice has %d entries for size-%d comm", opName, len(send), size))
+		panic(fmt.Sprintf("mpisim: %s send slice has %d entries for size-%d comm", op, len(send), size))
 	}
 	st := c.state()
+	start := st.clock
 	w := c.core.world
 	m := c.Model()
+	// MPI_Alltoallw stages device buffers per message inside its profile.
+	_, selfStaged := impl.(alltoallwAlgo)
 
-	eff := c.faultEnter(opName)
+	eff := c.faultEnter(op)
 	c.chargeSendChecksums(send)
 	in := collIn{clock: st.clock, port: st.portFreeAt, send: make([]Buf, size), lost: eff.Drop}
 	if eff.Factor > 1 {
@@ -586,15 +393,16 @@ func (c *Comm) schedExchange(send []Buf, impl CollectiveAlgo, opName string) (co
 			t0 = maxClock(ins)
 		}
 		ex := &Exchange{
-			Size:   size,
-			Bytes:  make([][]int, size),
-			Dev:    make([]bool, size),
-			Factor: make([]float64, size),
-			Start:  make([]float64, size),
-			Ranks:  make([]int, size),
-			Nodes:  w.nodes,
-			Topo:   w.topo,
-			M:      m,
+			Size:     size,
+			Bytes:    make([][]int, size),
+			Dev:      make([]bool, size),
+			Factor:   make([]float64, size),
+			Start:    make([]float64, size),
+			Ranks:    make([]int, size),
+			Nodes:    w.nodes,
+			Topo:     w.topo,
+			M:        m,
+			gpuAware: w.opts.GPUAware,
 		}
 		for r := range ins {
 			ex.Ranks[r] = c.WorldRank(r)
@@ -613,10 +421,12 @@ func (c *Comm) schedExchange(send []Buf, impl CollectiveAlgo, opName string) (co
 				totalRecv += ins[s].send[r].Bytes()
 			}
 			ex.Bytes[r] = row
-			// Bulk staging of non-GPU-aware device buffers precedes the
-			// network schedule, same accounting as the legacy path.
+			// Bulk staging: heFFTe's -no-gpu-aware path copies the whole
+			// packed buffer to the host once, runs the host collective, and
+			// copies the result back. Profiles that stage per message see
+			// the raw buffer location instead.
 			stage := 0.0
-			staged := dev && !w.opts.GPUAware
+			staged := dev && !w.opts.GPUAware && !selfStaged
 			if staged {
 				stage = 2*m.StagingOverhead +
 					(1-m.StagingOverlap)*(float64(totalSend)/m.PCIeBW+float64(totalRecv)/m.PCIeBW)
@@ -633,11 +443,8 @@ func (c *Comm) schedExchange(send []Buf, impl CollectiveAlgo, opName string) (co
 		for r := range ins {
 			t := comp[r]
 			if by := ins[r].send[r].Bytes(); by > 0 {
-				f := ins[r].factor
-				if f < 1 {
-					f = 1
-				}
-				t += float64(by) * 2 / m.GPU.MemBW * f
+				// Self block: a device-local copy.
+				t += float64(by) * 2 / m.GPU.MemBW * ex.factor(r)
 			}
 			recv := make([]Buf, size)
 			for s := range ins {
@@ -645,6 +452,9 @@ func (c *Comm) schedExchange(send []Buf, impl CollectiveAlgo, opName string) (co
 			}
 			outs[r] = collOut{clock: t, recv: recv, port: comp[r]}
 		}
+		// Dropped contributions: every rank expecting a nonzero block from a
+		// lost sender waits forever — its completion moves past any finite
+		// bound and surfaces as ErrExchangeTimeout at the wait.
 		for r := range ins {
 			if !ins[r].lost {
 				continue
@@ -658,7 +468,10 @@ func (c *Comm) schedExchange(send []Buf, impl CollectiveAlgo, opName string) (co
 		}
 		return outs
 	})
-	return out, total
+	if out.port > st.portFreeAt {
+		st.portFreeAt = out.port
+	}
+	return CollRequest{comm: c, postedAt: start, completeAt: out.clock, recv: out.recv, bytes: total, op: op, waitName: waitName}
 }
 
 // checkCorrupt raises ErrMessageCorrupt for any off-diagonal received block

@@ -1,8 +1,10 @@
 package mpisim
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/machine"
 )
 
@@ -15,7 +17,7 @@ func TestIalltoallvDeliversData(t *testing.T) {
 		for d := 0; d < n; d++ {
 			send[d] = hostBuf(complex(float64(c.Rank()*10+d), 0))
 		}
-		req := c.Ialltoallv(send)
+		req := c.IalltoallvWith(send, AlgoLinear)
 		recv := c.WaitColl(req)
 		row := make([]complex128, n)
 		for s := 0; s < n; s++ {
@@ -46,7 +48,7 @@ func TestIalltoallvOverlapsCompute(t *testing.T) {
 				send[d] = Buf{N: 1 << 16, Loc: machine.Device}
 			}
 			if async {
-				req := c.Ialltoallv(send)
+				req := c.IalltoallvWith(send, AlgoLinear)
 				c.Advance(compute)
 				c.WaitColl(req)
 			} else {
@@ -69,30 +71,65 @@ func TestIalltoallvOverlapsCompute(t *testing.T) {
 	_ = exch
 }
 
-// TestIalltoallvMatchesBlockingCompletion: with no compute in between, Wait
-// must land on the same virtual instant as the blocking call.
+// TestIalltoallvMatchesBlockingCompletion: blocking calls and post+wait run
+// one engine, so on every rank the wait lands on the blocking call's virtual
+// instant — or on the end of the posting overhead when that is later — for
+// every schedule, GPU-aware and staged buffers, synchronized and skewed
+// arrivals, clean and degraded links. Alltoallv is AlgoLinear exactly.
 func TestIalltoallvMatchesBlockingCompletion(t *testing.T) {
 	const n = 6
-	run := func(async bool) []float64 {
-		w := NewWorld(machine.Summit(), n, Options{GPUAware: true})
-		res := w.Run(func(c *Comm) {
-			send := make([]Buf, n)
-			for d := range send {
-				send[d] = Buf{N: 4096 + 17*c.Rank(), Loc: machine.Device}
+	const skewStep = 20e-6
+	for _, a := range Algos() {
+		for _, aware := range []bool{true, false} {
+			for _, skew := range []bool{false, true} {
+				for _, degraded := range []bool{false, true} {
+					name := fmt.Sprintf("%v/gpu-aware=%v/skew=%v/degraded=%v", a, aware, skew, degraded)
+					t.Run(name, func(t *testing.T) {
+						opts := Options{GPUAware: aware}
+						if degraded {
+							opts.Faults = &faults.Plan{Events: []faults.Event{{Kind: faults.Degrade, Rank: 2, Factor: 3}}}
+						}
+						// run returns each rank's clock at the call and after it.
+						run := func(call func(c *Comm, send []Buf)) (posted, done []float64) {
+							posted = make([]float64, n)
+							w := NewWorld(machine.Summit(), n, opts)
+							res := w.Run(func(c *Comm) {
+								send := make([]Buf, n)
+								for d := range send {
+									send[d] = Buf{N: 4096 + 17*c.Rank(), Loc: machine.Device}
+								}
+								if skew {
+									c.Advance(skewStep * float64((c.Rank()*5)%n))
+								}
+								posted[c.Rank()] = c.Clock()
+								call(c, send)
+							})
+							if res.Err != nil {
+								t.Fatal(res.Err)
+							}
+							return posted, res.Clocks
+						}
+						_, blocking := run(func(c *Comm, send []Buf) { c.AlltoallvWith(send, a) })
+						posted, async := run(func(c *Comm, send []Buf) { c.WaitColl(c.IalltoallvWith(send, a)) })
+						post := machine.Summit().HostOverheadColl
+						for r := range async {
+							want := max(blocking[r], posted[r]+post)
+							if async[r] != want {
+								t.Errorf("rank %d: post+wait completes at %v, blocking at %v (posted %v)", r, async[r], blocking[r], posted[r])
+							}
+						}
+						if a != AlgoLinear {
+							return
+						}
+						_, plain := run(func(c *Comm, send []Buf) { c.Alltoallv(send) })
+						for r := range plain {
+							if plain[r] != blocking[r] {
+								t.Errorf("rank %d: Alltoallv completes at %v, AlltoallvWith(AlgoLinear) at %v", r, plain[r], blocking[r])
+							}
+						}
+					})
+				}
 			}
-			if async {
-				c.WaitColl(c.Ialltoallv(send))
-			} else {
-				c.Alltoallv(send)
-			}
-		})
-		return res.Clocks
-	}
-	a, b := run(true), run(false)
-	for i := range a {
-		// The async path adds only the tiny posting overhead.
-		if diff := a[i] - b[i]; diff < 0 || diff > 1e-5 {
-			t.Errorf("rank %d: async completion %g vs blocking %g", i, a[i], b[i])
 		}
 	}
 }
@@ -105,7 +142,7 @@ func TestWaitCollPanicsOnReuse(t *testing.T) {
 	}()
 	w := NewWorld(machine.Summit(), 1, Options{})
 	w.Run(func(c *Comm) {
-		req := c.Ialltoallv([]Buf{{N: 1}})
+		req := c.IalltoallvWith([]Buf{{N: 1}}, AlgoLinear)
 		c.WaitColl(req)
 		c.WaitColl(req)
 	})

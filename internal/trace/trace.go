@@ -70,7 +70,9 @@ func (t *Tracer) Prune(before float64) {
 	t.mu.Unlock()
 }
 
-// Events returns a copy of all events sorted by (Name, Rank, Start).
+// Events returns a copy of all events sorted by (Name, Rank, Start, End,
+// Bytes). Ranks record concurrently, so the full key is what makes the order
+// — and every trace written from it — identical across runs.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
@@ -86,7 +88,13 @@ func (t *Tracer) Events() []Event {
 		if a.Rank != b.Rank {
 			return a.Rank < b.Rank
 		}
-		return a.Start < b.Start
+		if a.Start != b.Start {
+			return a.Start < b.Start
+		}
+		if a.End != b.End {
+			return a.End < b.End
+		}
+		return a.Bytes < b.Bytes
 	})
 	return out
 }
