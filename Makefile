@@ -42,7 +42,8 @@ bench-kernel:
 	go test -run '^$$' -bench 'BenchmarkPackBlocked' -benchmem ./internal/tensor/
 
 # Host cost of every all-to-all cost profile (five schedules plus the
-# MPI_Alltoall and MPI_Alltoallw profiles) on a dense device-resident exchange.
+# MPI_Alltoall and MPI_Alltoallw profiles) on a dense device-resident exchange,
+# and of a 768-rank sparse exchange (8 peers per rank) on ring and node-aware.
 bench-exchange:
 	go test -run '^$$' -bench 'BenchmarkExchange' -benchtime 100x ./internal/mpisim/
 

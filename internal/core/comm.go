@@ -194,7 +194,7 @@ func (rs *reshapePlan) resolve(opts Options, eb, batch int) (mpisim.Algo, int, b
 
 	algo := simAlgoOf(cc.Algo)
 	if cc.Algo == CollAuto && st.pairs > 0 {
-		algo = pickAlgo(rs.group, st, eb, batch)
+		algo = rs.autoAlgo(eb, batch)
 	}
 
 	chunks := cc.Chunks
@@ -221,6 +221,22 @@ func (rs *reshapePlan) resolve(opts Options, eb, batch int) (mpisim.Algo, int, b
 		overlap = false
 	}
 	return algo, chunks, overlap
+}
+
+// autoAlgo is pickAlgo memoized per (wire element bytes, batch): the closed
+// forms read only group-global, immutable inputs, so one evaluation per key
+// serves every later exchange of the phase.
+func (rs *reshapePlan) autoAlgo(eb, batch int) mpisim.Algo {
+	key := [2]int{eb, batch}
+	if a, ok := rs.picks[key]; ok {
+		return a
+	}
+	a := pickAlgo(rs.group, rs.stats, eb, batch)
+	if rs.picks == nil {
+		rs.picks = map[[2]int]mpisim.Algo{}
+	}
+	rs.picks[key] = a
+	return a
 }
 
 // chunkBox returns slice ci of n along axis 0 of pair box b. Sender and
@@ -418,7 +434,7 @@ func (x *transfer[T]) unpack(ci int, recv []mpisim.Buf) {
 	eb := elemBytes[T]()
 	web := WireElemSize(wire, eb)
 	wireBytes, fullBytes := 0, 0
-	for gi := range recv {
+	for _, gi := range rs.recvPeers {
 		cb := chunkBox(rs.recvs[gi], ci, x.chunks)
 		vol := cb.Volume()
 		if vol == 0 {

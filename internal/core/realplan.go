@@ -147,6 +147,7 @@ func NewRealPlan(c *mpisim.Comm, cfg RealConfig) (*RealPlan, error) {
 	// Complex pipeline on the half grid: z-pencils → y FFT → x FFT → out.
 	cur := zHalf
 	tag := 910
+	var revs []*reshapePlan // reversed twin of each complex reshape, forward order
 	addReshape := func(target []tensor.Box3, label string, interior bool) {
 		tag++
 		if boxesEqual(cur, target) {
@@ -155,6 +156,7 @@ func NewRealPlan(c *mpisim.Comm, cfg RealConfig) (*RealPlan, error) {
 		rs := buildReshape(c, cur, target, label, tag)
 		rs.interior = interior
 		p.stages = append(p.stages, stage{kind: stageReshape, label: "reshape " + label, rs: rs})
+		revs = append(revs, reverseReshape(c, rs, cur, target))
 		cur = target
 	}
 	addFFT := func(axis int) {
@@ -178,11 +180,12 @@ func NewRealPlan(c *mpisim.Comm, cfg RealConfig) (*RealPlan, error) {
 	for i := len(p.stages) - 1; i >= 0; i-- {
 		st := p.stages[i]
 		if st.kind == stageReshape {
-			st = stage{kind: stageReshape, label: st.label + "-rev", rs: reverseReshape(st.rs)}
+			st = stage{kind: stageReshape, label: st.label + "-rev", rs: revs[len(revs)-1]}
+			revs = revs[:len(revs)-1]
 		}
 		p.revStages = append(p.revStages, st)
 	}
-	p.outReshape = reverseReshape(p.inReshape)
+	p.outReshape = reverseReshape(c, p.inReshape, inBoxes, zReal)
 	return p, nil
 }
 
@@ -324,24 +327,23 @@ func (p *RealPlan) InverseBatch(fields []*Field) (_ []*RealField, err error) {
 	return rfs, nil
 }
 
-// reverseReshape returns the reshape with source and destination swapped.
-// Group structure and member lists are identical; only the box roles flip.
-// The interior flag carries over: a reshape between compute stages stays
-// between compute stages in the reversed pipeline.
-func reverseReshape(rs *reshapePlan) *reshapePlan {
+// reverseReshape returns the reshape with source and destination swapped;
+// rs was built by buildReshape(c, from, to, ...). Group structure and member
+// lists are identical; the box roles and peer lists flip, and the exchange
+// statistics are those of the swapped exchange to → from, so the reversed
+// phase resolves its schedule and chunking exactly as a reshape built on the
+// swapped boxes would. The interior flag carries over: a reshape between
+// compute stages stays between compute stages in the reversed pipeline.
+func reverseReshape(c *mpisim.Comm, rs *reshapePlan, from, to []tensor.Box3) *reshapePlan {
 	rev := &reshapePlan{
 		label: rs.label + "-rev", tag: rs.tag + 50,
 		from: rs.to, to: rs.from, interior: rs.interior,
 		group: rs.group, members: rs.members, myGroupRank: rs.myGroupRank,
+		sends: rs.recvs, recvs: rs.sends,
+		sendPeers: rs.recvPeers, recvPeers: rs.sendPeers,
 	}
 	if rs.group != nil {
-		n := len(rs.members)
-		rev.sends = make([]tensor.Box3, n)
-		rev.recvs = make([]tensor.Box3, n)
-		for i := range rs.members {
-			rev.sends[i] = rs.recvs[i]
-			rev.recvs[i] = rs.sends[i]
-		}
+		rev.stats = sharedExchStats(c, to, from, rs.members)
 	}
 	return rev
 }

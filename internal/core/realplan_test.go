@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -336,5 +337,83 @@ func TestR2CBatchedRoundTrip(t *testing.T) {
 	})
 	if maxErr > 1e-9*float64(global[0]*global[1]*global[2]) {
 		t.Errorf("batched R2C round trip differs by %g", maxErr)
+	}
+}
+
+// TestReversedReshapesResolveLikeSwapped: every reversed reshape of a
+// RealPlan (the C2R pipeline and its output reshape) must carry the
+// exchange statistics and peer lists of the swapped exchange, so it resolves
+// the same (schedule, chunks) as a reshape built directly on the swapped
+// boxes — on the staged path, where CollAuto and auto-chunking both engage.
+func TestReversedReshapesResolveLikeSwapped(t *testing.T) {
+	const size = 48
+	global := [3]int{64, 64, 64}
+	half := [3]int{global[0], global[1], global[2]/2 + 1}
+	w := mpisim.NewWorld(machine.Summit(), size, mpisim.Options{GPUAware: false})
+	var mu sync.Mutex
+	scheduled := 0
+	res := w.Run(func(c *mpisim.Comm) {
+		p, err := NewRealPlan(c, RealConfig{Global: global})
+		if err != nil {
+			panic(err)
+		}
+		// The forward reshapes' box lists, as NewRealPlan builds them.
+		type pair struct{ from, to []tensor.Box3 }
+		var fwd []pair
+		cur := pencilBoxes(half, 2, p.p, p.q)
+		for _, target := range [][]tensor.Box3{
+			pencilBoxes(half, 1, p.p, p.q), pencilBoxes(half, 0, p.p, p.q), DefaultBricks(size, half),
+		} {
+			if !boxesEqual(cur, target) {
+				fwd = append(fwd, pair{cur, target})
+				cur = target
+			}
+		}
+		revs := []*reshapePlan{p.outReshape}
+		pairs := []pair{{DefaultBricks(size, global), pencilBoxes(global, 2, p.p, p.q)}}
+		for _, st := range p.revStages {
+			if st.kind == stageReshape {
+				revs = append(revs, st.rs)
+				pairs = append(pairs, fwd[len(fwd)-len(revs)+1])
+			}
+		}
+		for i, rev := range revs {
+			twin := buildReshape(c, pairs[i].to, pairs[i].from, "twin", 990+i)
+			if (rev.group == nil) != (twin.group == nil) {
+				t.Errorf("rank %d %s: group membership differs from the swapped reshape", c.Rank(), rev.label)
+				continue
+			}
+			if rev.group == nil {
+				continue
+			}
+			if rev.stats != twin.stats {
+				t.Errorf("rank %d %s: stats %+v, swapped reshape %+v", c.Rank(), rev.label, rev.stats, twin.stats)
+			}
+			if !slices.Equal(rev.sendPeers, twin.sendPeers) || !slices.Equal(rev.recvPeers, twin.recvPeers) {
+				t.Errorf("rank %d %s: peers %v/%v, swapped reshape %v/%v", c.Rank(), rev.label,
+					rev.sendPeers, rev.recvPeers, twin.sendPeers, twin.recvPeers)
+			}
+			for _, eb := range []int{8, 16} {
+				for _, batch := range []int{1, 64} {
+					a1, k1, o1 := rev.resolve(p.opts, eb, batch)
+					a2, k2, o2 := twin.resolve(p.opts, eb, batch)
+					if a1 != a2 || k1 != k2 || o1 != o2 {
+						t.Errorf("rank %d %s eb=%d batch=%d: resolved (%v, %d, %v), swapped reshape (%v, %d, %v)",
+							c.Rank(), rev.label, eb, batch, a1, k1, o1, a2, k2, o2)
+					}
+					if a1 != mpisim.AlgoLinear || k1 > 1 {
+						mu.Lock()
+						scheduled++
+						mu.Unlock()
+					}
+				}
+			}
+		}
+	})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if scheduled == 0 {
+		t.Error("no reversed reshape resolved a non-linear schedule or chunking; the test exercises nothing")
 	}
 }

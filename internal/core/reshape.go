@@ -36,9 +36,20 @@ type reshapePlan struct {
 	// owns in the source distribution. Either may be empty.
 	sends, recvs []tensor.Box3
 
+	// sendPeers and recvPeers list the group ranks whose sends/recvs box is
+	// nonempty (this rank included when part of its data stays local), in
+	// ascending order: pack, unpack and the P2P loops visit these alone.
+	sendPeers, recvPeers []int
+	// sendBufs is the dense send slice handed to every exchange of this
+	// phase, reused across calls: the engine clones what it keeps at the
+	// post, and each pack rewrites every peer entry (the others stay empty).
+	sendBufs []mpisim.Buf
+
 	// stats is the group-global exchange shape driving collective-algorithm
-	// selection and chunking (see comm.go).
+	// selection and chunking (see comm.go); picks memoizes the CollAuto
+	// schedule per (wire element bytes, batch).
 	stats exchStats
+	picks map[[2]int]mpisim.Algo
 }
 
 // reshapeGroups is the once-per-world group analysis of a reshape: the
@@ -122,15 +133,27 @@ func buildReshape(c *mpisim.Comm, from, to []tensor.Box3, label string, tag int)
 	for gi, r := range rs.members {
 		rs.sends[gi] = tensor.Intersect(from[me], to[r])
 		rs.recvs[gi] = tensor.Intersect(from[r], to[me])
+		if !rs.sends[gi].Empty() {
+			rs.sendPeers = append(rs.sendPeers, gi)
+		}
+		if !rs.recvs[gi].Empty() {
+			rs.recvPeers = append(rs.recvPeers, gi)
+		}
 	}
-	// Exchange-shape statistics are O(group²) and identical for every member;
-	// memoize per world, keyed by boxes + placement (different parent comms
-	// may share box lists but map to different nodes).
-	statsKey := fmt.Sprintf("core/reshape-stats/%x/%d/%x", hashBoxes(from, to), color, hashInts(worldRanksOf(c, rs.members)))
-	rs.stats = c.World().Shared(statsKey, func() any {
-		return computeExchStats(c.Topo(), c.WorldRank, from, to, rs.members)
-	}).(exchStats)
+	rs.stats = sharedExchStats(c, from, to, rs.members)
 	return rs
+}
+
+// sharedExchStats returns the exchange-shape statistics of the reshape
+// from → to within the group of parent ranks members. They are O(group²) and
+// identical for every member, so they are memoized per world, keyed by boxes
+// + group root + placement (different parent comms may share box lists but
+// map to different nodes).
+func sharedExchStats(c *mpisim.Comm, from, to []tensor.Box3, members []int) exchStats {
+	key := fmt.Sprintf("core/reshape-stats/%x/%d/%x", hashBoxes(from, to), members[0], hashInts(worldRanksOf(c, members)))
+	return c.World().Shared(key, func() any {
+		return computeExchStats(c.Topo(), c.WorldRank, from, to, members)
+	}).(exchStats)
 }
 
 // worldRanksOf maps parent-comm ranks to world ranks.
@@ -331,14 +354,19 @@ func recycleRecv[T any](b mpisim.Buf) {
 // is tolerance-based (see verifyEnvelope). The returned byte count is the
 // on-wire total — what the pack kernel writes.
 func packSendBufs[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom bool, ci, chunks int) ([]mpisim.Buf, int) {
-	gs := rs.group.Size()
-	bufs := make([]mpisim.Buf, gs)
+	if rs.sendBufs == nil {
+		rs.sendBufs = make([]mpisim.Buf, rs.group.Size())
+		for gi := range rs.sendBufs {
+			rs.sendBufs[gi] = mpisim.Buf{Loc: machine.Device}
+		}
+	}
+	bufs := rs.sendBufs
 	wire := rs.wireOf(ctx.opts)
 	eb := elemBytes[T]()
 	web := WireElemSize(wire, eb)
 	wireBytes, fullBytes := 0, 0
 	ic := rs.group.Integrity()
-	for gi := 0; gi < gs; gi++ {
+	for _, gi := range rs.sendPeers {
 		sb := chunkBox(rs.sends[gi], ci, chunks)
 		vol := sb.Volume()
 		if vol == 0 {
@@ -428,15 +456,14 @@ func allocNewArrays[T any](rs *reshapePlan, n int, phantom bool) [][]T {
 // unpacked as they complete.
 func runReshapeP2P[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom, recycleIn bool) [][]T {
 	g := rs.group
-	gs := g.Size()
 	me := rs.myGroupRank
 	blocking := ctx.opts.Backend == BackendP2PBlocking
 
 	// Post all receives.
 	var rreqs []*mpisim.Request
 	var rsrcs []int
-	for gi := 0; gi < gs; gi++ {
-		if gi != me && !rs.recvs[gi].Empty() {
+	for _, gi := range rs.recvPeers {
+		if gi != me {
 			rreqs = append(rreqs, g.Irecv(gi, rs.tag))
 			rsrcs = append(rsrcs, gi)
 		}
@@ -448,8 +475,8 @@ func runReshapeP2P[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom, re
 
 	// Stream the sends.
 	var sreqs []*mpisim.Request
-	for gi := 0; gi < gs; gi++ {
-		if gi == me || rs.sends[gi].Empty() {
+	for _, gi := range rs.sendPeers {
+		if gi == me {
 			continue
 		}
 		if blocking {
@@ -486,7 +513,7 @@ func runReshapeP2P[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom, re
 		g.Waitall(sreqs)
 	}
 	recvTotal, recvFull := 0, 0
-	for gi := range rs.recvs {
+	for _, gi := range rs.recvPeers {
 		recvTotal += web * rs.recvs[gi].Volume() * len(datas)
 		recvFull += eb * rs.recvs[gi].Volume() * len(datas)
 	}

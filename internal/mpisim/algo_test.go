@@ -179,4 +179,26 @@ func BenchmarkExchange(b *testing.B) {
 			}
 		})
 	}
+	// Paper-scale sparse exchange: 768 ranks, 8 peers each — the shape of
+	// the brick↔pencil reshapes of Table III, where host cost must follow the
+	// nonempty blocks rather than the 768² matrix.
+	for _, a := range []Algo{AlgoRing, AlgoNodeAware} {
+		b.Run("sparse768/"+a.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			const size = 768
+			w := NewWorld(machine.Summit(), size, Options{GPUAware: true})
+			res := w.Run(func(c *Comm) {
+				send := sparseSend(c.Rank(), size, 8)
+				if c.Rank() == 0 {
+					b.ResetTimer()
+				}
+				for i := 0; i < b.N; i++ {
+					c.AlltoallvWith(send, a)
+				}
+			})
+			if res.Err != nil {
+				b.Fatal(res.Err)
+			}
+		})
+	}
 }

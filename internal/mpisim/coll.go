@@ -38,6 +38,27 @@ type collIn struct {
 	// outgoing blocks as dropped in transit.
 	factor float64
 	lost   bool
+	// An all-to-all contribution, indexed by its rank before the rendezvous
+	// so the serial cost computation reads only integers: bytes per
+	// destination, whether any send block is device-resident, the send
+	// total, and the blocks that travel (a payload or a fault mark).
+	row    []int
+	dev    bool
+	total  int
+	blocks []routedBuf
+}
+
+// routedBuf is one all-to-all block in flight: the sender's clone and the
+// rank it travels to.
+type routedBuf struct {
+	dst int
+	buf Buf
+}
+
+// inbound points a receiver at one routed block of its exchange.
+type inbound struct {
+	src int
+	buf *Buf
 }
 
 type collOut struct {
@@ -47,7 +68,10 @@ type collOut struct {
 	buf   Buf
 	// port is the new injection-port busy-until time of the receiving rank
 	// (all-to-alls only; zero otherwise).
-	port      float64
+	port float64
+	// route lists the routed blocks addressed to the receiving rank, in
+	// source order (all-to-alls only).
+	route     []inbound
 	splitCore *commCore
 	splitRank int
 }
@@ -351,6 +375,15 @@ func (c *Comm) alltoall(send []Buf, impl CollectiveAlgo, op string) []Buf {
 // staged arrival, the injection port freeing up and — for synchronized
 // profiles — the group's last arrival. A degrade factor slows the network
 // schedule and the self copy, never the staging.
+//
+// Host cost scales with the nonempty blocks, not with the square of the
+// group: each rank indexes its own send slice before the rendezvous and
+// clones only the blocks that travel, the serial callback reads integers
+// alone (byte rows, flags, totals) and buckets the routed blocks by
+// destination with one counting sort, and each rank fills its own receive
+// slice after it wakes. An empty received block is the zero Buf unless its
+// sender marked it (Corrupt or a silent corruption), in which case it is
+// the sender's marked block.
 func (c *Comm) post(send []Buf, impl CollectiveAlgo, op, waitName string) CollRequest {
 	size := c.Size()
 	if len(send) != size {
@@ -365,24 +398,46 @@ func (c *Comm) post(send []Buf, impl CollectiveAlgo, op, waitName string) CollRe
 
 	eff := c.faultEnter(op)
 	c.chargeSendChecksums(send)
-	in := collIn{clock: st.clock, port: st.portFreeAt, send: make([]Buf, size), lost: eff.Drop}
+	in := collIn{clock: st.clock, port: st.portFreeAt, row: make([]int, size), lost: eff.Drop}
 	if eff.Factor > 1 {
 		in.factor = eff.Factor
 	}
-	total := 0
-	for i, b := range send {
-		in.send[i] = b.clone()
-		total += b.Bytes()
-		if i == c.rank {
+	// A block travels when it carries a payload or a fault mark; fault
+	// effects mark every off-diagonal block, empty ones included. Counting
+	// first sizes the compact list exactly.
+	marked := eff.Corrupt || eff.Silent > 0
+	travels := func(i, bytes int) bool {
+		return bytes > 0 || send[i].Corrupt || send[i].silent > 0 || (marked && i != c.rank)
+	}
+	nnz := 0
+	for i := range send {
+		b := &send[i]
+		by := b.bytes()
+		in.row[i] = by
+		in.total += by
+		if b.Loc == machine.Device {
+			in.dev = true
+		}
+		if travels(i, by) {
+			nnz++
+		}
+	}
+	in.blocks = make([]routedBuf, 0, nnz)
+	for i := range send {
+		if !travels(i, in.row[i]) {
 			continue
 		}
-		if eff.Corrupt {
-			in.send[i].Corrupt = true
+		blk := routedBuf{dst: i, buf: send[i].clone()}
+		if i != c.rank {
+			if eff.Corrupt {
+				blk.buf.Corrupt = true
+			}
+			if eff.Silent > 0 {
+				blk.buf.silent = eff.Silent
+				blk.buf.flipSeed = mixSeed(eff.SilentSeed, i)
+			}
 		}
-		if eff.Silent > 0 {
-			in.send[i].silent = eff.Silent
-			in.send[i].flipSeed = mixSeed(eff.SilentSeed, i)
-		}
+		in.blocks = append(in.blocks, blk)
 	}
 	out := c.core.rv.exchange(w, c.rank, in, func(ins []collIn) []collOut {
 		// Synchronized schedules (lock-step rounds) gate every rank on the
@@ -391,6 +446,28 @@ func (c *Comm) post(send []Buf, impl CollectiveAlgo, op, waitName string) CollRe
 		t0 := math.Inf(-1)
 		if impl.Synchronized() {
 			t0 = maxClock(ins)
+		}
+		// Bucket the routed blocks by destination: one counting sort over
+		// the blocks that travel, never over the size² matrix.
+		first := make([]int, size+1)
+		for s := range ins {
+			for _, blk := range ins[s].blocks {
+				first[blk.dst+1]++
+			}
+		}
+		for d := 0; d < size; d++ {
+			first[d+1] += first[d]
+		}
+		routes := make([]inbound, first[size])
+		next := make([]int, size)
+		copy(next, first)
+		for s := range ins {
+			blks := ins[s].blocks
+			for i := range blks {
+				d := blks[i].dst
+				routes[next[d]] = inbound{src: s, buf: &blks[i].buf}
+				next[d]++
+			}
 		}
 		ex := &Exchange{
 			Size:     size,
@@ -407,31 +484,22 @@ func (c *Comm) post(send []Buf, impl CollectiveAlgo, op, waitName string) CollRe
 		for r := range ins {
 			ex.Ranks[r] = c.WorldRank(r)
 			ex.Factor[r] = ins[r].factor
-			row := make([]int, size)
-			dev := false
-			var totalSend, totalRecv int
-			for d, b := range ins[r].send {
-				if b.Loc == machine.Device {
-					dev = true
-				}
-				row[d] = b.Bytes()
-				totalSend += b.Bytes()
-			}
-			for s := range ins {
-				totalRecv += ins[s].send[r].Bytes()
-			}
-			ex.Bytes[r] = row
+			ex.Bytes[r] = ins[r].row
 			// Bulk staging: heFFTe's -no-gpu-aware path copies the whole
 			// packed buffer to the host once, runs the host collective, and
 			// copies the result back. Profiles that stage per message see
 			// the raw buffer location instead.
 			stage := 0.0
-			staged := dev && !w.opts.GPUAware && !selfStaged
+			staged := ins[r].dev && !w.opts.GPUAware && !selfStaged
 			if staged {
+				totalRecv := 0
+				for _, rt := range routes[first[r]:first[r+1]] {
+					totalRecv += ins[rt.src].row[r]
+				}
 				stage = 2*m.StagingOverhead +
-					(1-m.StagingOverlap)*(float64(totalSend)/m.PCIeBW+float64(totalRecv)/m.PCIeBW)
+					(1-m.StagingOverlap)*(float64(ins[r].total)/m.PCIeBW+float64(totalRecv)/m.PCIeBW)
 			}
-			ex.Dev[r] = dev && !staged
+			ex.Dev[r] = ins[r].dev && !staged
 			// Staging copies ride PCIe, not the NIC: they start at local
 			// arrival and overlap whatever transfer still occupies the
 			// injection port — which is how a chunked pipeline hides the
@@ -442,15 +510,11 @@ func (c *Comm) post(send []Buf, impl CollectiveAlgo, op, waitName string) CollRe
 		outs := make([]collOut, size)
 		for r := range ins {
 			t := comp[r]
-			if by := ins[r].send[r].Bytes(); by > 0 {
+			if by := ins[r].row[r]; by > 0 {
 				// Self block: a device-local copy.
 				t += float64(by) * 2 / m.GPU.MemBW * ex.factor(r)
 			}
-			recv := make([]Buf, size)
-			for s := range ins {
-				recv[s] = ins[s].send[r]
-			}
-			outs[r] = collOut{clock: t, recv: recv, port: comp[r]}
+			outs[r] = collOut{clock: t, route: routes[first[r]:first[r+1]], port: comp[r]}
 		}
 		// Dropped contributions: every rank expecting a nonzero block from a
 		// lost sender waits forever — its completion moves past any finite
@@ -459,11 +523,10 @@ func (c *Comm) post(send []Buf, impl CollectiveAlgo, op, waitName string) CollRe
 			if !ins[r].lost {
 				continue
 			}
-			for dst := 0; dst < size; dst++ {
-				if dst == r || ins[r].send[dst].Bytes() == 0 {
-					continue
+			for dst, by := range ins[r].row {
+				if dst != r && by > 0 {
+					outs[dst].clock = math.Inf(1)
 				}
-				outs[dst].clock = math.Inf(1)
 			}
 		}
 		return outs
@@ -471,14 +534,18 @@ func (c *Comm) post(send []Buf, impl CollectiveAlgo, op, waitName string) CollRe
 	if out.port > st.portFreeAt {
 		st.portFreeAt = out.port
 	}
-	return CollRequest{comm: c, postedAt: start, completeAt: out.clock, recv: out.recv, bytes: total, op: op, waitName: waitName}
+	recv := make([]Buf, size)
+	for _, rt := range out.route {
+		recv[rt.src] = *rt.buf
+	}
+	return CollRequest{comm: c, postedAt: start, completeAt: out.clock, recv: recv, bytes: in.total, op: op, waitName: waitName}
 }
 
 // checkCorrupt raises ErrMessageCorrupt for any off-diagonal received block
 // marked corrupted in transit (modeling transport checksums).
 func (c *Comm) checkCorrupt(recv []Buf, op string) {
-	for s, b := range recv {
-		if b.Corrupt && s != c.rank {
+	for s := range recv {
+		if recv[s].Corrupt && s != c.rank {
 			c.raiseFault(fmt.Errorf("mpisim: %w: rank %d: %s block from rank %d failed verification",
 				ErrMessageCorrupt, c.WorldRank(c.rank), op, c.WorldRank(s)))
 		}

@@ -183,7 +183,7 @@ func (c *Comm) chargeSendChecksums(send []Buf) {
 	var bytes int
 	for i := range send {
 		if i != c.rank {
-			bytes += send[i].Bytes()
+			bytes += send[i].bytes()
 		}
 	}
 	c.chargeChecksum("checksum", bytes)
@@ -256,7 +256,7 @@ func (c *Comm) deliverIntegrity(recv []Buf, op string) {
 		var bytes int
 		for s := range recv {
 			if s != c.rank {
-				bytes += recv[s].Bytes()
+				bytes += recv[s].bytes()
 			}
 		}
 		c.chargeChecksum("checksum_verify", bytes)

@@ -31,6 +31,11 @@ import (
 // volume. In phantom mode both slices are nil and only the element count N
 // is carried, so paper-scale runs do not allocate real arrays; all timing is
 // identical because costs depend only on sizes and locations.
+//
+// In an all-to-all only the blocks that travel are delivered: those with a
+// payload or a fault mark (Corrupt, or a silent corruption). Every other
+// received block is the zero Buf, whatever the sender's empty block held
+// (location, zero-length slices, envelope fields).
 type Buf struct {
 	Data []complex128
 	Real []float64 // real payload; mutually exclusive with Data
@@ -72,7 +77,18 @@ type Buf struct {
 }
 
 // Elems reports the number of elements in the buffer.
-func (b Buf) Elems() int {
+func (b Buf) Elems() int { return b.elems() }
+
+// Bytes reports the payload size in bytes at the buffer's wire precision
+// (16/8/4 per complex element, 8/4/2 per real element for fp64/fp32/fp16).
+// Every transport cost in the simulator — wire time, PCIe staging, checksum
+// charges, retransmissions, collective padding — derives from this, so
+// compressing a buffer reprices its entire journey.
+func (b Buf) Bytes() int { return b.bytes() }
+
+// elems and bytes are Elems and Bytes through a pointer: the engine's
+// per-block loops call them on slice elements without copying the Buf.
+func (b *Buf) elems() int {
 	switch {
 	case b.Data != nil:
 		return len(b.Data)
@@ -83,16 +99,11 @@ func (b Buf) Elems() int {
 	}
 }
 
-// Bytes reports the payload size in bytes at the buffer's wire precision
-// (16/8/4 per complex element, 8/4/2 per real element for fp64/fp32/fp16).
-// Every transport cost in the simulator — wire time, PCIe staging, checksum
-// charges, retransmissions, collective padding — derives from this, so
-// compressing a buffer reprices its entire journey.
-func (b Buf) Bytes() int {
+func (b *Buf) bytes() int {
 	if b.Real != nil || (b.Data == nil && b.PhantomReal) {
-		return b.Wire.RealBytes() * b.Elems()
+		return b.Wire.RealBytes() * b.elems()
 	}
-	return b.Wire.ComplexBytes() * b.Elems()
+	return b.Wire.ComplexBytes() * b.elems()
 }
 
 // Phantom reports whether the buffer carries no real data.

@@ -29,6 +29,9 @@ for aware in "" "-no-gpu-aware"; do
 		)
 	done
 done
+# Paper-scale group sizes: 384-rank brick↔pencil reshapes with a handful of
+# peers per rank, so the sparse all-to-all path runs at a size where it matters.
+rows+=("-n 128 -ranks 384" "-n 128 -ranks 384 -no-gpu-aware")
 for backend in alltoall alltoallw p2p; do
 	rows+=("-n 64 -ranks 12 -backend $backend")
 done
