@@ -110,6 +110,8 @@ func (p *Plan) execute(fields []*Field, dir fft.Direction) error {
 // boundary (p.dists[from]). ResumeBatch uses it to re-enter a shrunken
 // world's pipeline at the last globally completed boundary; recycleFirst
 // marks the fields' arrays as pool-drawn so the first reshape recycles them.
+// The inverse of an R2C plan walks its inverse stage list from the output
+// distribution back to the input one.
 //
 // perEntry selects the pipelined mode (ForwardPipelined): instead of one
 // fused exchange per reshape, every entry's exchange is posted on its own,
@@ -130,7 +132,10 @@ func (p *Plan) executeFrom(fields []*Field, dir fft.Direction, from int, recycle
 	p.lastExec = ExecInfo{Batch: len(fields), Start: p.comm.Clock()}
 	p.lastExec.End = p.lastExec.Start
 	phantom := fields[0].Phantom()
-	startBox := p.dists[from][p.comm.Rank()]
+	stages, startBox, endBox := p.stages, p.dists[from][p.comm.Rank()], p.outBox
+	if dir == fft.Inverse && p.inv != nil {
+		stages, startBox, endBox = p.inv, p.outBox, p.inBox
+	}
 	for _, f := range fields {
 		if err := f.validate(startBox); err != nil {
 			return err
@@ -147,7 +152,7 @@ func (p *Plan) executeFrom(fields []*Field, dir fft.Direction, from int, recycle
 		p.beginCheckpoints(ck, dir, len(fields), phantom)
 		label := inputBoundary
 		if from > 0 {
-			label = p.stages[from-1].label
+			label = stages[from-1].label
 		}
 		p.saveBoundary(ck, label, fields, phantom)
 	}
@@ -169,8 +174,8 @@ func (p *Plan) executeFrom(fields []*Field, dir fft.Direction, from int, recycle
 	// flights are the per-entry mode's posted exchanges, landed entry by
 	// entry at the next compute stage (or before the next reshape).
 	var flights []flight
-	for si := from; si < len(p.stages); si++ {
-		st := p.stages[si]
+	for si := from; si < len(stages); si++ {
+		st := stages[si]
 		p.curPhase = st.label
 		p.checkCtx()
 		switch {
@@ -192,6 +197,11 @@ func (p *Plan) executeFrom(fields []*Field, dir fft.Direction, from int, recycle
 				p.chargeOverlap(pending - comm)
 			}
 			pending = 0
+		case st.kind == stageR2C || st.kind == stageC2R:
+			// The transform replaces the arrays with pool-drawn ones.
+			per := p.realStage(st, fields, recycle)
+			recycle = true
+			pending += per * float64(len(fields)-1)
 		case perEntry:
 			for i := range fields {
 				if len(flights) > 0 {
@@ -217,7 +227,7 @@ func (p *Plan) executeFrom(fields []*Field, dir fft.Direction, from int, recycle
 	}
 	p.lastExec.End = p.comm.Clock()
 	for _, f := range fields {
-		if err := f.validate(p.outBox); err != nil {
+		if err := f.validate(endBox); err != nil {
 			return fmt.Errorf("core: after execution: %w", err)
 		}
 	}
@@ -282,6 +292,47 @@ func (p *Plan) fftStage(st stage, fields []*Field, dir fft.Direction) float64 {
 	}
 	p.dev.FFT1D(n, batch, strided)
 	return g.FFT1DCost(n, batch, strided)
+}
+
+// realStage runs the local r2c (or c2r) transforms of every batch entry along
+// axis 2, moving the fields between their real and half-spectrum z-pencils,
+// and charges ONE entry's kernel, returning that per-entry cost like
+// fftStage. recycle marks the input arrays as plan-owned: they return to the
+// staging pool once transformed.
+func (p *Plan) realStage(st stage, fields []*Field, recycle bool) float64 {
+	n := p.global[2]
+	h := n/2 + 1
+	rows := st.myBox.Size(0) * st.myBox.Size(1)
+	p.dev.FFTR2C(n, rows)
+	for _, f := range fields {
+		if st.kind == stageR2C {
+			f.Box = st.myBox
+			if f.real != nil {
+				// Pool-drawn and fully overwritten: rows*h covers the box.
+				out := getBuf[complex128](st.myBox.Volume())
+				if err := st.rplan.ForwardBatch(f.real, 1, n, out, 1, h, rows); err != nil {
+					panic(err)
+				}
+				if recycle {
+					putBuf(f.real)
+				}
+				f.real, f.Data = nil, out
+			}
+		} else {
+			f.Box = st.realBox
+			if f.Data != nil {
+				out := getBuf[float64](st.realBox.Volume())
+				if err := st.rplan.InverseBatch(f.Data, 1, h, out, 1, n, rows); err != nil {
+					panic(err)
+				}
+				if recycle {
+					putBuf(f.Data)
+				}
+				f.Data, f.real = nil, out
+			}
+		}
+	}
+	return p.dev.Model().FFTR2CCost(n, rows)
 }
 
 // localFFT1D computes the local 1-D transforms of one field along axis. Axis 2

@@ -38,16 +38,3 @@ func (p *Plan) recoverFault(errp *error) {
 	p.lastExec.End = p.comm.Clock()
 	*errp = err
 }
-
-// recoverFault is RealPlan's counterpart.
-func (p *RealPlan) recoverFault(errp *error) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	err := faultErrFrom(r, p.comm, p.curPhase)
-	if err == nil {
-		panic(r)
-	}
-	*errp = err
-}

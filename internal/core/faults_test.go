@@ -11,14 +11,23 @@ import (
 )
 
 // runFaulty executes one Forward on a 4-rank world with the given fault plan
-// and returns the per-rank errors plus the world result.
-func runFaulty(t *testing.T, plan *faults.Plan, opts Options) ([]error, mpisim.Result) {
+// and returns the per-rank errors plus the world result. With r2c set the
+// Forward is a RealPlan's.
+func runFaulty(t *testing.T, r2c bool, plan *faults.Plan, opts Options) ([]error, mpisim.Result) {
 	t.Helper()
 	const size = 4
 	global := [3]int{8, 8, 8}
 	w := mpisim.NewWorld(machine.Summit(), size, mpisim.Options{GPUAware: true, Faults: plan})
 	errs := make([]error, size)
 	res := w.Run(func(c *mpisim.Comm) {
+		if r2c {
+			p, err := NewRealPlan(c, RealConfig{Global: global, Opts: opts})
+			if err == nil {
+				_, err = p.Forward(NewRealField(p.InBox()))
+			}
+			errs[c.Rank()] = err
+			return
+		}
 		p, err := NewPlan(c, Config{Global: global, Opts: opts})
 		if err != nil {
 			errs[c.Rank()] = err
@@ -40,7 +49,7 @@ func TestStallTimesOutEveryBackend(t *testing.T) {
 			plan := &faults.Plan{Timeout: 0.5, Events: []faults.Event{
 				{Kind: faults.Stall, Rank: 1, Op: 0, Delay: 5},
 			}}
-			errs, res := runFaulty(t, plan, Options{Decomp: DecompPencils, Backend: b})
+			errs, res := runFaulty(t, false, plan, Options{Decomp: DecompPencils, Backend: b})
 			if !errors.Is(res.Err, mpisim.ErrExchangeTimeout) {
 				t.Fatalf("Result.Err = %v, want ErrExchangeTimeout", res.Err)
 			}
@@ -59,21 +68,28 @@ func TestStallTimesOutEveryBackend(t *testing.T) {
 
 // TestFaultErrorCarriesPhaseContext: errors escaping Forward identify the
 // failing rank and pipeline phase, so operators can tell a reshape exchange
-// failure from an FFT-stage one.
+// failure from an FFT-stage one. A kill surfaces where ranks wait on the
+// victim, which is always a reshape. The R2C row kills the victim at its
+// second exchange, past the local r2c stage.
 func TestFaultErrorCarriesPhaseContext(t *testing.T) {
-	plan := &faults.Plan{Timeout: 1, Events: []faults.Event{{Kind: faults.Kill, Rank: 2, Op: 0}}}
-	errs, res := runFaulty(t, plan, Options{Decomp: DecompPencils})
-	if !errors.Is(res.Err, mpisim.ErrRankFailed) {
-		t.Fatalf("Result.Err = %v, want ErrRankFailed", res.Err)
-	}
-	for r, err := range errs {
-		if !errors.Is(err, mpisim.ErrRankFailed) {
-			t.Errorf("rank %d: err = %v, want ErrRankFailed", r, err)
-			continue
+	for _, tc := range []struct {
+		r2c bool
+		op  int
+	}{{false, 0}, {true, 1}} {
+		plan := &faults.Plan{Timeout: 1, Events: []faults.Event{{Kind: faults.Kill, Rank: 2, Op: tc.op}}}
+		errs, res := runFaulty(t, tc.r2c, plan, Options{Decomp: DecompPencils})
+		if !errors.Is(res.Err, mpisim.ErrRankFailed) {
+			t.Fatalf("r2c=%v: Result.Err = %v, want ErrRankFailed", tc.r2c, res.Err)
 		}
-		msg := err.Error()
-		if !strings.Contains(msg, "core: rank") || !strings.Contains(msg, "phase") {
-			t.Errorf("rank %d error lacks phase context: %q", r, msg)
+		for r, err := range errs {
+			if !errors.Is(err, mpisim.ErrRankFailed) {
+				t.Errorf("r2c=%v rank %d: err = %v, want ErrRankFailed", tc.r2c, r, err)
+				continue
+			}
+			msg := err.Error()
+			if !strings.Contains(msg, "core: rank") || !strings.Contains(msg, `phase "reshape `) {
+				t.Errorf("r2c=%v rank %d error lacks phase context: %q", tc.r2c, r, msg)
+			}
 		}
 	}
 }

@@ -15,6 +15,10 @@ import (
 type Field struct {
 	Box  tensor.Box3
 	Data []complex128 // nil for phantom fields
+	// real holds the values instead of Data while the field sits in the real
+	// segment of an R2C plan's pipeline (before its r2c stage, after its c2r
+	// stage): the Data/Real pair mpisim.Buf carries.
+	real []float64
 }
 
 // NewField allocates a zero-valued field covering the box.
@@ -28,7 +32,7 @@ func NewPhantom(b tensor.Box3) *Field {
 }
 
 // Phantom reports whether the field carries no real data.
-func (f *Field) Phantom() bool { return f.Data == nil }
+func (f *Field) Phantom() bool { return f.Data == nil && f.real == nil }
 
 // Bytes returns the device memory footprint of the field.
 func (f *Field) Bytes() int { return 16 * f.Box.Volume() }
@@ -52,8 +56,12 @@ func (f *Field) validate(want tensor.Box3) error {
 	if !f.Box.Equal(want) {
 		return fmt.Errorf("core: field box %v does not match plan box %v", f.Box, want)
 	}
-	if !f.Phantom() && len(f.Data) != f.Box.Volume() {
-		return fmt.Errorf("core: field data length %d != box volume %d", len(f.Data), f.Box.Volume())
+	n := len(f.Data)
+	if f.real != nil {
+		n = len(f.real)
+	}
+	if !f.Phantom() && n != f.Box.Volume() {
+		return fmt.Errorf("core: field data length %d != box volume %d", n, f.Box.Volume())
 	}
 	return nil
 }

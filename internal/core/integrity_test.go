@@ -15,8 +15,10 @@ import (
 // runIntegrity executes one forward transform on `size` ranks under the given
 // integrity config and fault plan, returning the gathered result (nil if the
 // world faulted), the world's fault error, the integrity snapshot, and the
-// virtual makespan.
-func runIntegrity(t *testing.T, size int, global [3]int, ic mpisim.IntegrityConfig, fp *faults.Plan, tr *trace.Tracer) ([]complex128, error, mpisim.IntegritySnapshot, float64) {
+// virtual makespan. With r2c set it runs a RealPlan round trip instead
+// (Forward then Inverse of the real part of the signal) and returns the
+// recovered real array as complex values.
+func runIntegrity(t *testing.T, r2c bool, size int, global [3]int, ic mpisim.IntegrityConfig, fp *faults.Plan, tr *trace.Tracer) ([]complex128, error, mpisim.IntegritySnapshot, float64) {
 	t.Helper()
 	ref := globalSignal(global, 7)
 	w := mpisim.NewWorld(machine.Summit(), size, mpisim.Options{
@@ -26,18 +28,43 @@ func runIntegrity(t *testing.T, size int, global [3]int, ic mpisim.IntegrityConf
 	outBoxes := make([]tensor.Box3, size)
 	var mu sync.Mutex
 	res := w.Run(func(c *mpisim.Comm) {
-		p, err := NewPlan(c, Config{Global: global})
-		if err != nil {
-			t.Errorf("NewPlan: %v", err)
-			return
-		}
-		f := &Field{Box: p.InBox(), Data: scatter(ref, global, p.InBox())}
-		if err := p.Forward(f); err != nil {
-			return // the world records the fault; surfaced via res.Err
+		var out *Field
+		if r2c {
+			p, err := NewRealPlan(c, RealConfig{Global: global})
+			if err != nil {
+				t.Errorf("NewRealPlan: %v", err)
+				return
+			}
+			rf := NewRealField(p.InBox())
+			for i, v := range scatter(ref, global, p.InBox()) {
+				rf.Data[i] = real(v)
+			}
+			spec, err := p.Forward(rf)
+			if err != nil {
+				return // the world records the fault; surfaced via res.Err
+			}
+			back, err := p.Inverse(spec)
+			if err != nil {
+				return
+			}
+			out = &Field{Box: back.Box, Data: make([]complex128, len(back.Data))}
+			for i, v := range back.Data {
+				out.Data[i] = complex(v, 0)
+			}
+		} else {
+			p, err := NewPlan(c, Config{Global: global})
+			if err != nil {
+				t.Errorf("NewPlan: %v", err)
+				return
+			}
+			out = &Field{Box: p.InBox(), Data: scatter(ref, global, p.InBox())}
+			if err := p.Forward(out); err != nil {
+				return // the world records the fault; surfaced via res.Err
+			}
 		}
 		mu.Lock()
-		outDatas[c.Rank()] = f.Data
-		outBoxes[c.Rank()] = f.Box
+		outDatas[c.Rank()] = out.Data
+		outBoxes[c.Rank()] = out.Box
 		mu.Unlock()
 	})
 	snap := w.IntegrityCounters().Snapshot()
@@ -71,14 +98,14 @@ func wirePlan(count int) *faults.Plan {
 // classes with byte counts matching the moved payload.
 func TestIntegrityCleanOverheadAndBitIdentity(t *testing.T) {
 	global := [3]int{32, 32, 32}
-	base, err, _, _ := runIntegrity(t, 4, global, mpisim.IntegrityConfig{}, nil, nil)
+	base, err, _, _ := runIntegrity(t, false, 4, global, mpisim.IntegrityConfig{}, nil, nil)
 	if err != nil {
 		t.Fatalf("baseline run failed: %v", err)
 	}
 
 	tr := trace.New()
 	full := mpisim.IntegrityConfig{Checksums: true, Invariants: true}
-	prot, err, snap, _ := runIntegrity(t, 4, global, full, nil, tr)
+	prot, err, snap, _ := runIntegrity(t, false, 4, global, full, nil, tr)
 	if err != nil {
 		t.Fatalf("integrity run failed: %v", err)
 	}
@@ -125,7 +152,7 @@ func TestIntegrityCleanOverheadAndBitIdentity(t *testing.T) {
 func TestIntegrityOverheadScalesWithBytes(t *testing.T) {
 	bytesFor := func(global [3]int) int {
 		tr := trace.New()
-		_, err, _, _ := runIntegrity(t, 4, global, mpisim.IntegrityConfig{Checksums: true, Invariants: true}, nil, tr)
+		_, err, _, _ := runIntegrity(t, false, 4, global, mpisim.IntegrityConfig{Checksums: true, Invariants: true}, nil, tr)
 		if err != nil {
 			t.Fatalf("run failed: %v", err)
 		}
@@ -150,7 +177,7 @@ func TestIntegrityOverheadScalesWithBytes(t *testing.T) {
 // fault-free run. The sender accumulates suspicion.
 func TestWireCorruptionRepairedByRetransmit(t *testing.T) {
 	global := [3]int{32, 32, 32}
-	base, err, _, _ := runIntegrity(t, 4, global, mpisim.IntegrityConfig{}, nil, nil)
+	base, err, _, _ := runIntegrity(t, false, 4, global, mpisim.IntegrityConfig{}, nil, nil)
 	if err != nil {
 		t.Fatalf("baseline run failed: %v", err)
 	}
@@ -199,7 +226,7 @@ func TestWireCorruptionRepairedByRetransmit(t *testing.T) {
 // per-block budget surfaces as ErrRetransmitExhausted, not silent data.
 func TestWireCorruptionExhaustsRetransmitBudget(t *testing.T) {
 	ic := mpisim.IntegrityConfig{Checksums: true, RetransmitBudget: 2}
-	_, err, _, _ := runIntegrity(t, 4, [3]int{32, 32, 32}, ic, wirePlan(3), nil)
+	_, err, _, _ := runIntegrity(t, false, 4, [3]int{32, 32, 32}, ic, wirePlan(3), nil)
 	if err == nil {
 		t.Fatalf("unrepairable corruption did not fail the transform")
 	}
@@ -213,7 +240,7 @@ func TestWireCorruptionExhaustsRetransmitBudget(t *testing.T) {
 // the reshape envelope sum catches it as ErrIntegrity.
 func TestWireCorruptionCaughtByEnvelope(t *testing.T) {
 	ic := mpisim.IntegrityConfig{Invariants: true}
-	_, err, snap, _ := runIntegrity(t, 4, [3]int{32, 32, 32}, ic, wirePlan(1), nil)
+	_, err, snap, _ := runIntegrity(t, false, 4, [3]int{32, 32, 32}, ic, wirePlan(1), nil)
 	if err == nil {
 		t.Fatalf("landed corruption did not fail the transform")
 	}
@@ -230,11 +257,11 @@ func TestWireCorruptionCaughtByEnvelope(t *testing.T) {
 // wrong transform with no error at all.
 func TestWireCorruptionSilentWithoutIntegrity(t *testing.T) {
 	global := [3]int{32, 32, 32}
-	base, err, _, _ := runIntegrity(t, 4, global, mpisim.IntegrityConfig{}, nil, nil)
+	base, err, _, _ := runIntegrity(t, false, 4, global, mpisim.IntegrityConfig{}, nil, nil)
 	if err != nil {
 		t.Fatalf("baseline run failed: %v", err)
 	}
-	got, err, _, _ := runIntegrity(t, 4, global, mpisim.IntegrityConfig{}, wirePlan(1), nil)
+	got, err, _, _ := runIntegrity(t, false, 4, global, mpisim.IntegrityConfig{}, wirePlan(1), nil)
 	if err != nil {
 		t.Fatalf("silent corruption raised an error with integrity off: %v", err)
 	}
@@ -252,27 +279,30 @@ func TestWireCorruptionSilentWithoutIntegrity(t *testing.T) {
 
 // TestBrickCorruptionHealedByReexec: a device-memory flip between phases
 // fails the DFT-linearity invariant and is healed by one phase-scoped
-// re-execution from the retained input — numerics bit-identical to clean.
+// re-execution from the retained input — numerics bit-identical to clean,
+// for complex transforms and for R2C/C2R round trips alike.
 func TestBrickCorruptionHealedByReexec(t *testing.T) {
 	global := [3]int{32, 32, 32}
-	base, err, _, _ := runIntegrity(t, 4, global, mpisim.IntegrityConfig{}, nil, nil)
-	if err != nil {
-		t.Fatalf("baseline run failed: %v", err)
-	}
-	fp := &faults.Plan{Timeout: 1, Events: []faults.Event{
-		{Kind: faults.CorruptSilent, Brick: true, Rank: 2, Op: 0, Count: 1},
-	}}
-	ic := mpisim.IntegrityConfig{Invariants: true}
-	got, err, snap, _ := runIntegrity(t, 4, global, ic, fp, nil)
-	if err != nil {
-		t.Fatalf("recoverable brick corruption failed the transform: %v", err)
-	}
-	if snap.InvariantFailures == 0 || snap.PhaseReexecs == 0 {
-		t.Fatalf("no phase re-execution happened: %+v", snap)
-	}
-	for i := range base {
-		if base[i] != got[i] {
-			t.Fatalf("element %d differs after phase re-execution: %v vs %v", i, got[i], base[i])
+	for _, r2c := range []bool{false, true} {
+		base, err, _, _ := runIntegrity(t, r2c, 4, global, mpisim.IntegrityConfig{}, nil, nil)
+		if err != nil {
+			t.Fatalf("r2c=%v: baseline run failed: %v", r2c, err)
+		}
+		fp := &faults.Plan{Timeout: 1, Events: []faults.Event{
+			{Kind: faults.CorruptSilent, Brick: true, Rank: 2, Op: 0, Count: 1},
+		}}
+		ic := mpisim.IntegrityConfig{Invariants: true}
+		got, err, snap, _ := runIntegrity(t, r2c, 4, global, ic, fp, nil)
+		if err != nil {
+			t.Fatalf("r2c=%v: recoverable brick corruption failed the transform: %v", r2c, err)
+		}
+		if snap.InvariantFailures == 0 || snap.PhaseReexecs == 0 {
+			t.Fatalf("r2c=%v: no phase re-execution happened: %+v", r2c, snap)
+		}
+		for i := range base {
+			if base[i] != got[i] {
+				t.Fatalf("r2c=%v: element %d differs after phase re-execution: %v vs %v", r2c, i, got[i], base[i])
+			}
 		}
 	}
 }
@@ -280,19 +310,21 @@ func TestBrickCorruptionHealedByReexec(t *testing.T) {
 // TestBrickCorruptionExhaustsReexecs: corruption striking every execution
 // attempt defeats phase-scoped recovery and surfaces as ErrIntegrity.
 func TestBrickCorruptionExhaustsReexecs(t *testing.T) {
-	fp := &faults.Plan{Timeout: 1, Events: []faults.Event{
-		{Kind: faults.CorruptSilent, Brick: true, Rank: 2, Op: 0, Count: 3},
-	}}
-	ic := mpisim.IntegrityConfig{Invariants: true}
-	_, err, snap, _ := runIntegrity(t, 4, [3]int{32, 32, 32}, ic, fp, nil)
-	if err == nil {
-		t.Fatalf("persistent brick corruption did not fail the transform")
-	}
-	if !errors.Is(err, mpisim.ErrIntegrity) {
-		t.Fatalf("error = %v, want ErrIntegrity", err)
-	}
-	if snap.PhaseReexecs < 2 {
-		t.Errorf("expected 2 re-executions before giving up, got %+v", snap)
+	for _, r2c := range []bool{false, true} {
+		fp := &faults.Plan{Timeout: 1, Events: []faults.Event{
+			{Kind: faults.CorruptSilent, Brick: true, Rank: 2, Op: 0, Count: 3},
+		}}
+		ic := mpisim.IntegrityConfig{Invariants: true}
+		_, err, snap, _ := runIntegrity(t, r2c, 4, [3]int{32, 32, 32}, ic, fp, nil)
+		if err == nil {
+			t.Fatalf("r2c=%v: persistent brick corruption did not fail the transform", r2c)
+		}
+		if !errors.Is(err, mpisim.ErrIntegrity) {
+			t.Fatalf("r2c=%v: error = %v, want ErrIntegrity", r2c, err)
+		}
+		if snap.PhaseReexecs < 2 {
+			t.Errorf("r2c=%v: expected 2 re-executions before giving up, got %+v", r2c, snap)
+		}
 	}
 }
 

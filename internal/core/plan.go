@@ -35,6 +35,11 @@ type Plan struct {
 
 	inBox, outBox tensor.Box3
 	stages        []stage
+	// inv is the inverse stage list of an R2C plan: stages walked backwards,
+	// each reshape replaced by its reversed twin and the r2c stage by c2r.
+	// Nil for complex plans, whose inverse runs stages in forward order (the
+	// 1-D transforms along different axes commute).
+	inv []stage
 	// dists records the full data distribution at every stage boundary:
 	// dists[0] is the input distribution and dists[i+1] the distribution
 	// after stages[i] (reshapes change it, compute stages keep it). Resume
@@ -71,6 +76,10 @@ const (
 	stageReshape stageKind = iota
 	stageFFT1D
 	stageFFT2D
+	// stageR2C transforms real z-pencils into their half-spectrum along axis
+	// 2; stageC2R is its inverse.
+	stageR2C
+	stageC2R
 )
 
 type stage struct {
@@ -78,18 +87,40 @@ type stage struct {
 	label string       // phase name reported in fault errors
 	rs    *reshapePlan // stageReshape
 	axis  int          // stageFFT1D: transform axis
-	myBox tensor.Box3  // local box during a compute stage
-	fplan *fft.Plan    // stageFFT1D: kernel plan, resolved at build time
+	// myBox is the local box of the complex data during a compute stage (the
+	// half-spectrum z-pencil for stageR2C/stageC2R); realBox is the real
+	// z-pencil on the other side of an r2c/c2r stage.
+	myBox   tensor.Box3
+	realBox tensor.Box3
+	fplan   *fft.Plan     // stageFFT1D: kernel plan, resolved at build time
+	rplan   *fft.RealPlan // stageR2C/stageC2R: axis-2 real kernel plan
 }
 
 // NewPlan collectively creates a plan. Every rank of c must call NewPlan with
 // identical Config (as with MPI plan creation in heFFTe).
-func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) {
+func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) { return newPlan(c, cfg, false) }
+
+// newPlan is the builder of both plan kinds. With r2c set, cfg.Global is a
+// real grid, cfg.OutBoxes distribute its Hermitian half grid, and the plan
+// runs the pencil pipeline of a real-to-complex transform (see RealPlan).
+func newPlan(c *mpisim.Comm, cfg Config, r2c bool) (*Plan, error) {
 	size := c.Size()
 	for d := 0; d < 3; d++ {
 		if cfg.Global[d] < 1 {
 			return nil, fmt.Errorf("core: %w: invalid global grid %v", ErrBadConfig, cfg.Global)
 		}
+	}
+	outGrid := cfg.Global
+	if r2c {
+		if cfg.Global[2]%2 != 0 {
+			return nil, fmt.Errorf("core: %w: R2C needs an even N2, got %d", ErrBadConfig, cfg.Global[2])
+		}
+		// The real segment of the pipeline has no complex boundary to save,
+		// and resume re-plans complex transforms only.
+		if cfg.Opts.Checkpoints != nil {
+			return nil, fmt.Errorf("core: %w: R2C plans take no phase checkpoints", ErrBadConfig)
+		}
+		outGrid = halfGrid(cfg.Global)
 	}
 	inBoxes := cfg.InBoxes
 	if inBoxes == nil {
@@ -97,17 +128,17 @@ func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) {
 	}
 	outBoxes := cfg.OutBoxes
 	if outBoxes == nil {
-		outBoxes = DefaultBricks(size, cfg.Global)
+		outBoxes = DefaultBricks(size, outGrid)
 	}
 	if len(inBoxes) != size || len(outBoxes) != size {
 		return nil, fmt.Errorf("core: %w: got %d in / %d out boxes for %d ranks", ErrMismatchedBoxes, len(inBoxes), len(outBoxes), size)
 	}
 	// Box validation is O(ranks²); memoize it per world so it runs once, not
 	// once per rank (pure function of the boxes, content-keyed).
-	validate := func(boxes []tensor.Box3) error {
-		key := fmt.Sprintf("core/validate/%v/%x", cfg.Global, hashBoxes(boxes))
+	validate := func(grid [3]int, boxes []tensor.Box3) error {
+		key := fmt.Sprintf("core/validate/%v/%x", grid, hashBoxes(boxes))
 		v := c.World().Shared(key, func() any {
-			if err := validateBoxes(cfg.Global, boxes); err != nil {
+			if err := validateBoxes(grid, boxes); err != nil {
 				return err
 			}
 			return nil
@@ -117,10 +148,10 @@ func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) {
 		}
 		return nil
 	}
-	if err := validate(inBoxes); err != nil {
+	if err := validate(cfg.Global, inBoxes); err != nil {
 		return nil, fmt.Errorf("core: %w: input boxes: %w", ErrMismatchedBoxes, err)
 	}
-	if err := validate(outBoxes); err != nil {
+	if err := validate(outGrid, outBoxes); err != nil {
 		return nil, fmt.Errorf("core: %w: output boxes: %w", ErrMismatchedBoxes, err)
 	}
 
@@ -158,9 +189,12 @@ func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) {
 		return nil, fmt.Errorf("core: %w: pencil grid %dx%d does not match %d active ranks", ErrBadConfig, p.p, p.q, p.lp)
 	}
 
-	// Resolve the decomposition.
+	// Resolve the decomposition. R2C plans always run pencils: the r2c stage
+	// needs the full axis 2 on every rank.
 	p.decomp = cfg.Opts.Decomp
-	if p.decomp == DecompAuto {
+	if r2c {
+		p.decomp = DecompPencils
+	} else if p.decomp == DecompAuto {
 		params := model.Params{Latency: c.Model().InterLatency, Bandwidth: c.Model().NodeInjectionBW}
 		if model.PreferSlabs(cfg.Global, p.p, p.q, params) {
 			p.decomp = DecompSlabs
@@ -168,7 +202,7 @@ func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) {
 			p.decomp = DecompPencils
 		}
 	}
-	if err := p.buildStages(inBoxes, outBoxes); err != nil {
+	if err := p.buildStages(inBoxes, outBoxes, r2c); err != nil {
 		return nil, err
 	}
 	// An accuracy budget caps the analytic error bound of wire compression;
@@ -186,7 +220,7 @@ func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) {
 // buildStages constructs the reshape/compute pipeline. All ranks execute the
 // same deterministic sequence, so the collective Split calls inside reshape
 // construction stay matched.
-func (p *Plan) buildStages(inBoxes, outBoxes []tensor.Box3) error {
+func (p *Plan) buildStages(inBoxes, outBoxes []tensor.Box3, r2c bool) error {
 	size := p.comm.Size()
 	pad := func(boxes []tensor.Box3) []tensor.Box3 {
 		// Distributions over lp active ranks padded with empty boxes.
@@ -204,16 +238,17 @@ func (p *Plan) buildStages(inBoxes, outBoxes []tensor.Box3) error {
 	// interior marks reshapes strictly between compute stages, the ones
 	// eligible for wire compression (input/output reshapes move caller data
 	// and always ship full precision — see wire.go).
-	addReshape := func(target []tensor.Box3, label string, interior bool) {
+	addReshape := func(target []tensor.Box3, label string, interior bool) *reshapePlan {
 		tagSeq++
 		if boxesEqual(cur, target) {
-			return
+			return nil
 		}
 		rs := buildReshape(p.comm, cur, target, label, tagSeq)
 		rs.interior = interior
 		p.stages = append(p.stages, stage{kind: stageReshape, label: "reshape " + label, rs: rs})
 		cur = target
 		p.dists = append(p.dists, target)
+		return rs
 	}
 	addFFT1D := func(axis int) {
 		p.stages = append(p.stages, stage{
@@ -226,8 +261,46 @@ func (p *Plan) buildStages(inBoxes, outBoxes []tensor.Box3) error {
 		p.dists = append(p.dists, cur)
 	}
 
-	switch p.decomp {
-	case DecompPencils:
+	switch {
+	case r2c:
+		// The real input moves to z-pencils at 8 bytes per element; real
+		// z-pencils and their half-spectrum shadows share the P×Q grid, so the
+		// r2c stage is purely local. The pipeline then continues on the half
+		// grid: y FFT, x FFT, output.
+		half := halfGrid(p.global)
+		rplan, err := fft.NewRealPlan(p.global[2])
+		if err != nil {
+			return fmt.Errorf("core: %w: %w", ErrBadConfig, err)
+		}
+		zReal := pad(pencilBoxes(p.global, 2, p.p, p.q))
+		if rs := addReshape(zReal, "r2c-input", false); rs != nil {
+			rs.real = true
+		}
+		cur = pad(pencilBoxes(half, 2, p.p, p.q))
+		me := p.comm.Rank()
+		p.stages = append(p.stages, stage{kind: stageR2C, label: "r2c", myBox: cur[me], realBox: zReal[me], rplan: rplan})
+		p.dists = append(p.dists, cur)
+		// The local r2c counts as a compute stage, so both pencil reshapes are
+		// interior; the output reshape moves caller data.
+		addReshape(pad(pencilBoxes(half, 1, p.p, p.q)), "r2c-pencil-y", true)
+		addFFT1D(1)
+		addReshape(pad(pencilBoxes(half, 0, p.p, p.q)), "r2c-pencil-x", true)
+		addFFT1D(0)
+		addReshape(outBoxes, "r2c-output", false)
+
+		p.inv = make([]stage, 0, len(p.stages))
+		for i := len(p.stages) - 1; i >= 0; i-- {
+			st := p.stages[i]
+			switch st.kind {
+			case stageReshape:
+				st = stage{kind: stageReshape, label: st.label + "-rev", rs: reverseReshape(p.comm, st.rs, p.dists[i], p.dists[i+1])}
+			case stageR2C:
+				st.kind, st.label = stageC2R, "c2r"
+			}
+			p.inv = append(p.inv, st)
+		}
+
+	case p.decomp == DecompPencils:
 		addReshape(pad(pencilBoxes(p.global, 0, p.p, p.q)), "pencil-x", false)
 		addFFT1D(0)
 		addReshape(pad(pencilBoxes(p.global, 1, p.p, p.q)), "pencil-y", true)
@@ -236,7 +309,7 @@ func (p *Plan) buildStages(inBoxes, outBoxes []tensor.Box3) error {
 		addFFT1D(2)
 		addReshape(outBoxes, "output", false)
 
-	case DecompBricks:
+	case p.decomp == DecompBricks:
 		// The brick variant (fftMPI/SWFFT style): intermediate grids are
 		// derived from the 3-D brick grid (a, b, c), so each of the four
 		// phases exchanges within smaller groups that share a coordinate of
@@ -250,7 +323,7 @@ func (p *Plan) buildStages(inBoxes, outBoxes []tensor.Box3) error {
 		addFFT1D(2)
 		addReshape(outBoxes, "output", false)
 
-	case DecompSlabs:
+	case p.decomp == DecompSlabs:
 		// Slabs along axis 0: local 2-D FFTs over axes (1,2), one exchange
 		// to slabs along axis 1, then 1-D FFTs along axis 0.
 		addReshape(pad(slabBoxes(p.global, 0, p.lp)), "slab-0", false)

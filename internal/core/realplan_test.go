@@ -1,6 +1,12 @@
 package core
 
 import (
+	"cmp"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -93,6 +99,11 @@ func TestRealPlanValidationErrors(t *testing.T) {
 		if _, err := NewRealPlan(c, RealConfig{Global: [3]int{4, 4, 4}, Opts: Options{PQ: [2]int{3, 5}}}); err == nil {
 			t.Error("expected error for bad PQ")
 		}
+		// Checkpoints would be silently skipped by the R2C pipeline's real
+		// segment, so the plan refuses the store up front.
+		if _, err := NewRealPlan(c, RealConfig{Global: [3]int{4, 4, 4}, Opts: Options{Checkpoints: NewCheckpointStore()}}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("checkpoints: err = %v, want ErrBadConfig", err)
+		}
 	})
 }
 
@@ -119,37 +130,40 @@ func TestDistributedR2CRoundTrip(t *testing.T) {
 	size := 6
 	ref := randomRealGlobal(global, 52)
 	fullReal := tensor.FullBox(global)
-	w := mpisim.NewWorld(machine.Summit(), size, mpisim.Options{GPUAware: true})
-	maxErr := make([]float64, size)
-	w.Run(func(c *mpisim.Comm) {
-		p, err := NewRealPlan(c, RealConfig{Global: global, Opts: Options{Backend: BackendAlltoallv}})
-		if err != nil {
-			panic(err)
-		}
-		local := make([]float64, p.InBox().Volume())
-		tensor.Pack(ref, fullReal, p.InBox(), local)
-		orig := append([]float64(nil), local...)
-		rf := &RealField{Box: p.InBox(), Data: local}
-		f, err := p.Forward(rf)
-		if err != nil {
-			panic(err)
-		}
-		back, err := p.Inverse(f)
-		if err != nil {
-			panic(err)
-		}
-		if !back.Box.Equal(p.InBox()) {
-			panic("inverse did not return to the input distribution")
-		}
-		for i := range orig {
-			if d := math.Abs(back.Data[i] - orig[i]); d > maxErr[c.Rank()] {
-				maxErr[c.Rank()] = d
+	// The second configuration shrinks the FFT grid to 3 of the 6 ranks.
+	for _, opts := range []Options{{Backend: BackendAlltoallv}, {Backend: BackendAlltoallv, ShrinkThreshold: 200}} {
+		w := mpisim.NewWorld(machine.Summit(), size, mpisim.Options{GPUAware: true})
+		maxErr := make([]float64, size)
+		w.Run(func(c *mpisim.Comm) {
+			p, err := NewRealPlan(c, RealConfig{Global: global, Opts: opts})
+			if err != nil {
+				panic(err)
 			}
-		}
-	})
-	for r, e := range maxErr {
-		if e > 1e-9*float64(global[0]*global[1]*global[2]) {
-			t.Errorf("rank %d: C2R(R2C(x)) differs from x by %g", r, e)
+			local := make([]float64, p.InBox().Volume())
+			tensor.Pack(ref, fullReal, p.InBox(), local)
+			orig := append([]float64(nil), local...)
+			rf := &RealField{Box: p.InBox(), Data: local}
+			f, err := p.Forward(rf)
+			if err != nil {
+				panic(err)
+			}
+			back, err := p.Inverse(f)
+			if err != nil {
+				panic(err)
+			}
+			if !back.Box.Equal(p.InBox()) {
+				panic("inverse did not return to the input distribution")
+			}
+			for i := range orig {
+				if d := math.Abs(back.Data[i] - orig[i]); d > maxErr[c.Rank()] {
+					maxErr[c.Rank()] = d
+				}
+			}
+		})
+		for r, e := range maxErr {
+			if e > 1e-9*float64(global[0]*global[1]*global[2]) {
+				t.Errorf("shrink %d rank %d: C2R(R2C(x)) differs from x by %g", opts.ShrinkThreshold, r, e)
+			}
 		}
 	}
 }
@@ -353,13 +367,14 @@ func TestReversedReshapesResolveLikeSwapped(t *testing.T) {
 	var mu sync.Mutex
 	scheduled := 0
 	res := w.Run(func(c *mpisim.Comm) {
-		p, err := NewRealPlan(c, RealConfig{Global: global})
+		rp, err := NewRealPlan(c, RealConfig{Global: global})
 		if err != nil {
 			panic(err)
 		}
-		// The forward reshapes' box lists, as NewRealPlan builds them.
+		p := rp.plan
+		// The forward reshapes' box lists, as the R2C builder lays them out.
 		type pair struct{ from, to []tensor.Box3 }
-		var fwd []pair
+		fwd := []pair{{DefaultBricks(size, global), pencilBoxes(global, 2, p.p, p.q)}}
 		cur := pencilBoxes(half, 2, p.p, p.q)
 		for _, target := range [][]tensor.Box3{
 			pencilBoxes(half, 1, p.p, p.q), pencilBoxes(half, 0, p.p, p.q), DefaultBricks(size, half),
@@ -369,13 +384,18 @@ func TestReversedReshapesResolveLikeSwapped(t *testing.T) {
 				cur = target
 			}
 		}
-		revs := []*reshapePlan{p.outReshape}
-		pairs := []pair{{DefaultBricks(size, global), pencilBoxes(global, 2, p.p, p.q)}}
-		for _, st := range p.revStages {
+		// The inverse list holds their reversed twins in reverse order.
+		var revs []*reshapePlan
+		var pairs []pair
+		for _, st := range p.inv {
 			if st.kind == stageReshape {
 				revs = append(revs, st.rs)
-				pairs = append(pairs, fwd[len(fwd)-len(revs)+1])
+				pairs = append(pairs, fwd[len(fwd)-len(revs)])
 			}
+		}
+		if len(revs) != len(fwd) {
+			t.Errorf("rank %d: %d reversed reshapes for %d forward ones", c.Rank(), len(revs), len(fwd))
+			return
 		}
 		for i, rev := range revs {
 			twin := buildReshape(c, pairs[i].to, pairs[i].from, "twin", 990+i)
@@ -415,5 +435,106 @@ func TestReversedReshapesResolveLikeSwapped(t *testing.T) {
 	}
 	if scheduled == 0 {
 		t.Error("no reversed reshape resolved a non-linear schedule or chunking; the test exercises nothing")
+	}
+}
+
+// realGolden is the pinned virtual-time outcome of one RealPlan run: the
+// makespan, an FNV-1a digest of every rank's end clock, and an FNV-1a digest
+// of the sorted trace events (name, rank, start, end, bytes).
+type realGolden struct {
+	makespan float64
+	clocks   uint64
+	events   uint64
+}
+
+// runRealGolden runs a batch-1 phantom Forward then Inverse of a 64³ RealPlan
+// on 48 Summit ranks and digests its virtual time.
+func runRealGolden(t *testing.T, aware bool, bk Backend, wire WirePrecision) realGolden {
+	t.Helper()
+	tr := trace.New()
+	w := mpisim.NewWorld(machine.Summit(), 48, mpisim.Options{GPUAware: aware, Tracer: tr})
+	res := w.Run(func(c *mpisim.Comm) {
+		p, err := NewRealPlan(c, RealConfig{Global: [3]int{64, 64, 64},
+			Opts: Options{Backend: bk, Comm: CommConfig{Wire: wire}}})
+		if err != nil {
+			t.Errorf("NewRealPlan: %v", err)
+			return
+		}
+		f, err := p.Forward(NewRealPhantom(p.InBox()))
+		if err != nil {
+			t.Errorf("Forward: %v", err)
+			return
+		}
+		if _, err := p.Inverse(f); err != nil {
+			t.Errorf("Inverse: %v", err)
+		}
+	})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	var buf [8]byte
+	word := func(h hash.Hash64, v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	clocks := fnv.New64a()
+	for _, c := range res.Clocks {
+		word(clocks, math.Float64bits(c))
+	}
+	evs := tr.Events()
+	slices.SortFunc(evs, func(a, b trace.Event) int {
+		return cmp.Or(cmp.Compare(a.Rank, b.Rank), cmp.Compare(a.Start, b.Start),
+			cmp.Compare(a.End, b.End), cmp.Compare(a.Name, b.Name), cmp.Compare(a.Bytes, b.Bytes))
+	})
+	events := fnv.New64a()
+	for _, e := range evs {
+		events.Write([]byte(e.Name))
+		word(events, uint64(e.Rank))
+		word(events, math.Float64bits(e.Start))
+		word(events, math.Float64bits(e.End))
+		word(events, uint64(e.Bytes))
+	}
+	return realGolden{makespan: res.MaxClock, clocks: clocks.Sum64(), events: events.Sum64()}
+}
+
+// TestRealPlanGoldenVirtualTime pins the exact virtual time of batch-1
+// RealPlan round trips across transports, backends and wire precisions: per
+// rank end clocks and every trace event must stay bit-identical, so a
+// refactor of the R2C pipeline cannot move a single charge unnoticed.
+func TestRealPlanGoldenVirtualTime(t *testing.T) {
+	// Recorded before R2C/C2R became stage kinds of Plan.
+	golden := map[string]realGolden{
+		"aware=true/alltoallv/fp64":  {0.00037804600564258443, 0x8602f97a41626f0b, 0x1f69d338263173ed},
+		"aware=true/alltoallv/fp32":  {0.0003621204850128594, 0x7710b4b545a5351a, 0x5e6b110ed49e9cc2},
+		"aware=true/alltoall/fp64":   {0.001734790438905053, 0x832d3e48fe1d0249, 0x7762ac0d59d97027},
+		"aware=true/alltoall/fp32":   {0.001717502613504519, 0x5117ed63c7ea5bf1, 0xc0b6c92d1f4011f5},
+		"aware=true/alltoallw/fp64":  {0.0028916909072323714, 0x5849beef1403a9c1, 0xabec8de4bf82d5f7},
+		"aware=true/alltoallw/fp32":  {0.0028916909072323714, 0x5849beef1403a9c1, 0xabec8de4bf82d5f7},
+		"aware=true/p2p/fp64":        {0.0024853974534798495, 0x471c8a0f061d50a9, 0x703f77f262fc4e3f},
+		"aware=true/p2p/fp32":        {0.0024876857611721573, 0xb49e3153a0179246, 0x5c5e3c55a2a2ddd2},
+		"aware=false/alltoallv/fp64": {0.0004865625770711561, 0x7d894f2047717b8d, 0xbbb07b586b090227},
+		"aware=false/alltoallv/fp32": {0.0004622644850128595, 0xe49637884d2d9843, 0xbc49f1bd998781fb},
+		"aware=false/alltoall/fp64":  {0.0014989609376803458, 0x51190895e926e844, 0xbf00aa6edb09281c},
+		"aware=false/alltoall/fp32":  {0.001473979397994097, 0x1642c45741217c44, 0x5a79c1278e50f3fc},
+		"aware=false/alltoallw/fp64": {0.0028916909072323714, 0x5849beef1403a9c1, 0xabec8de4bf82d5f7},
+		"aware=false/alltoallw/fp32": {0.0028916909072323714, 0x5849beef1403a9c1, 0xabec8de4bf82d5f7},
+		"aware=false/p2p/fp64":       {0.0017585780249084232, 0x6f9afbd0e24b469c, 0x7d40a080b2a0ab5a},
+		"aware=false/p2p/fp32":       {0.0017507177611721578, 0x17c2c4d2de7f3e69, 0x1021abd8ad59f189},
+	}
+	backends := []struct {
+		name string
+		bk   Backend
+	}{{"alltoallv", BackendAlltoallv}, {"alltoall", BackendAlltoall}, {"alltoallw", BackendAlltoallw}, {"p2p", BackendP2P}}
+	for _, aware := range []bool{true, false} {
+		for _, b := range backends {
+			for _, wire := range []WirePrecision{WireFp64, WireFp32} {
+				name := fmt.Sprintf("aware=%v/%s/%v", aware, b.name, wire)
+				got := runRealGolden(t, aware, b.bk, wire)
+				if want := golden[name]; got != want {
+					t.Errorf("%s: got {%v, %#x, %#x}, want {%v, %#x, %#x}", name,
+						got.makespan, got.clocks, got.events, want.makespan, want.clocks, want.events)
+				}
+			}
+		}
 	}
 }

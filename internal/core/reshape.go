@@ -22,6 +22,9 @@ type reshapePlan struct {
 	// (see wire.go). Input/output reshapes move caller data and always ship
 	// full precision.
 	interior bool
+	// real marks a reshape of the real segment of an R2C pipeline: it moves
+	// the fields' float64 values, at 8 bytes per element.
+	real bool
 
 	from, to tensor.Box3 // this rank's boxes
 
@@ -203,49 +206,64 @@ func hashBoxes(lists ...[]tensor.Box3) uint64 {
 	return h
 }
 
-// run executes the exchange for a batch of complex fields (all sharing the
-// same distribution). Batch payloads are fused into single messages per pair
-// — the mechanism behind the batched-transform speedups of Fig. 13.
+// run executes the exchange for a batch of fields (all sharing the same
+// distribution), moving their complex values, or their real ones for a real
+// reshape. Batch payloads are fused into single messages per pair — the
+// mechanism behind the batched-transform speedups of Fig. 13.
 //
 // recycleIn marks the fields' current arrays as plan-owned (produced by an
-// earlier reshape of the same execution): they are returned to the staging
+// earlier stage of the same execution): they are returned to the staging
 // pool once packed. The arrays of the very first reshape belong to the
 // caller and are never recycled.
 func (rs *reshapePlan) run(ctx execCtx, fields []*Field, recycleIn bool) {
-	datas := make([][]complex128, len(fields))
-	for i, f := range fields {
+	for _, f := range fields {
 		if !f.Box.Equal(rs.from) {
 			panic(fmt.Sprintf("core: reshape %s: field box %v != expected %v", rs.label, f.Box, rs.from))
 		}
-		datas[i] = f.Data
+	}
+	if rs.real {
+		moveFields(rs, ctx, fields, recycleIn, func(f *Field) *[]float64 { return &f.real })
+	} else {
+		moveFields(rs, ctx, fields, recycleIn, func(f *Field) *[]complex128 { return &f.Data })
+	}
+}
+
+// moveFields runs one exchange over the values each field keeps in *slot(f)
+// and moves the fields to the target box.
+func moveFields[T any](rs *reshapePlan, ctx execCtx, fields []*Field, recycleIn bool, slot func(*Field) *[]T) {
+	datas := make([][]T, len(fields))
+	for i, f := range fields {
+		datas[i] = *slot(f)
 	}
 	out := runReshape(rs, ctx, datas, fields[0].Phantom(), recycleIn)
 	for i, f := range fields {
 		f.Box = rs.to
 		if out != nil {
-			f.Data = out[i]
+			*slot(f) = out[i]
 		}
 	}
 }
 
-// runReal is the float64 flavour, used for the input/output reshapes of
-// real-to-complex transforms: real elements are 8 bytes, so these phases
-// move half the bytes of their complex counterparts.
-func (rs *reshapePlan) runReal(ctx execCtx, fields []*RealField, recycleIn bool) {
-	datas := make([][]float64, len(fields))
-	for i, f := range fields {
-		if !f.Box.Equal(rs.from) {
-			panic(fmt.Sprintf("core: reshape %s: field box %v != expected %v", rs.label, f.Box, rs.from))
-		}
-		datas[i] = f.Data
+// reverseReshape returns the reshape with source and destination swapped;
+// rs was built by buildReshape(c, from, to, ...). Group structure and member
+// lists are identical; the box roles and peer lists flip, and the exchange
+// statistics are those of the swapped exchange to → from, so the reversed
+// phase resolves its schedule and chunking exactly as a reshape built on the
+// swapped boxes would. The interior and real flags carry over: a reshape
+// between compute stages stays between compute stages in the reversed
+// pipeline, and a real reshape still moves real values.
+func reverseReshape(c *mpisim.Comm, rs *reshapePlan, from, to []tensor.Box3) *reshapePlan {
+	rev := &reshapePlan{
+		label: rs.label + "-rev", tag: rs.tag + 50,
+		from: rs.to, to: rs.from, interior: rs.interior, real: rs.real,
+		group: rs.group, members: rs.members, myGroupRank: rs.myGroupRank,
+		sends: rs.recvs, recvs: rs.sends,
+		sendPeers: rs.recvPeers, recvPeers: rs.sendPeers,
 	}
-	out := runReshape(rs, ctx, datas, fields[0].Phantom(), recycleIn)
-	for i, f := range fields {
-		f.Box = rs.to
-		if out != nil {
-			f.Data = out[i]
-		}
+	if rs.group != nil {
+		rev.stats = sharedExchStats(c, to, from, rs.members)
 	}
+	return rev
 }
 
 // execCtx carries what a reshape needs from its plan.
@@ -305,7 +323,7 @@ func elemBytes[T any]() int {
 }
 
 // runReshape executes one exchange generically over the element type:
-// complex128 for the transform pipeline, float64 for R2C input/output.
+// complex128 for the transform pipeline, float64 for the real segment of R2C.
 // datas[i] is batch entry i's local array over rs.from (nil slices for
 // phantom batches); the return value holds the new arrays over rs.to (nil
 // for phantom).

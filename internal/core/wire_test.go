@@ -269,38 +269,49 @@ func TestWireABFTStillTripsOnFlip(t *testing.T) {
 
 // TestAccuracyBudget pins plan-time budget enforcement: a budget the wire
 // precision's analytic bound fits passes, one it exceeds fails with
-// ErrBadConfig, and fp64 (bound zero) always fits.
+// ErrBadConfig, and fp64 (bound zero) always fits — for complex and real
+// plans alike (an R2C plan compresses its two pencil reshapes).
 func TestAccuracyBudget(t *testing.T) {
-	global := [3]int{8, 8, 8}
-	tryPlan := func(w WirePrecision, budget float64) error {
+	for _, tc := range []struct {
+		r2c    bool
+		global [3]int
+		wire   WirePrecision
+		budget float64
+		ok     bool
+	}{
+		{false, [3]int{8, 8, 8}, WireFp32, 1e-6, true},
+		{false, [3]int{8, 8, 8}, WireFp16, 1e-6, false},
+		{false, [3]int{8, 8, 8}, WireFp16, 1e-2, true},
+		{false, [3]int{8, 8, 8}, WireFp64, 1e-300, true},
+		{true, [3]int{16, 16, 16}, WireFp16, 1e-9, false},
+		{true, [3]int{16, 16, 16}, WireFp16, 1e-2, true},
+	} {
 		var perr error
 		world := mpisim.NewWorld(machine.Summit(), 4, mpisim.Options{GPUAware: true})
 		world.Run(func(c *mpisim.Comm) {
-			p, err := NewPlan(c, Config{Global: global, Opts: Options{
-				Decomp:         DecompPencils,
-				Comm:           CommConfig{Wire: w},
-				AccuracyBudget: budget,
-			}})
-			if err == nil {
-				p.Close()
+			opts := Options{Decomp: DecompPencils, Comm: CommConfig{Wire: tc.wire}, AccuracyBudget: tc.budget}
+			var err error
+			if tc.r2c {
+				var p *RealPlan
+				if p, err = NewRealPlan(c, RealConfig{Global: tc.global, Opts: opts}); err == nil {
+					p.Close()
+				}
+			} else {
+				var p *Plan
+				if p, err = NewPlan(c, Config{Global: tc.global, Opts: opts}); err == nil {
+					p.Close()
+				}
 			}
 			if c.Rank() == 0 {
 				perr = err
 			}
 		})
-		return perr
-	}
-	if err := tryPlan(WireFp32, 1e-6); err != nil {
-		t.Errorf("fp32 under 1e-6 budget rejected: %v", err)
-	}
-	if err := tryPlan(WireFp16, 1e-6); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("fp16 under 1e-6 budget: err = %v, want ErrBadConfig", err)
-	}
-	if err := tryPlan(WireFp16, 1e-2); err != nil {
-		t.Errorf("fp16 under 1e-2 budget rejected: %v", err)
-	}
-	if err := tryPlan(WireFp64, 1e-300); err != nil {
-		t.Errorf("fp64 under any budget rejected: %v", err)
+		if tc.ok && perr != nil {
+			t.Errorf("r2c=%v %v under %g budget rejected: %v", tc.r2c, tc.wire, tc.budget, perr)
+		}
+		if !tc.ok && !errors.Is(perr, ErrBadConfig) {
+			t.Errorf("r2c=%v %v under %g budget: err = %v, want ErrBadConfig", tc.r2c, tc.wire, tc.budget, perr)
+		}
 	}
 }
 
